@@ -33,8 +33,8 @@
 //
 // On SIGINT/SIGTERM the daemon stops accepting work (readyz flips, SSE
 // streams end), drains the scheduler (every accepted arrival still runs
-// to completion on the simulated timeline), prints the fleet summary
-// table to stdout, and writes any requested -trace-out/-metrics-out
+// to completion on the simulated timeline), prints the per-region fleet
+// summary table to stdout, and writes any requested -trace-out/-metrics-out
 // exports.
 package main
 
@@ -72,7 +72,7 @@ func main() {
 		aging      = fs.Duration("aging", 30*time.Minute, "queue-wait that promotes an incident one severity class (negative disables aging)")
 		fifo       = fs.Bool("fifo", false, "dispatch in strict arrival order instead of severity+aging")
 		arm        = fs.String("arm", "assisted", "which responder arm serves the pool: assisted or unassisted")
-		regions    = fs.String("regions", fleet.DefaultRegion, "comma-separated region/cell names; more than one shards the scheduler per region (-oces and -queue then apply per region), and POST /v1/incidents accepts a region field validated against this set")
+		regions    = fs.String("regions", fleet.DefaultRegion, "comma-separated region/cell names; the scheduler runs one responder pool per region (-oces and -queue apply per region), and POST /v1/incidents accepts a region field validated against this set")
 		steal      = fs.Bool("steal", false, "allow a saturated region's incidents to execute on an idle region's pool (multi-region only)")
 		sim        = fs.Bool("sim", false, "simulated clock under explicit control: exposes POST /v1/sim/{advance,drain} and time only moves when told (deterministic harness mode)")
 		timescale  = fs.Duration("timescale", time.Minute, "wall-clock mode: simulated time per wall second (1m = demo speed, 1s = real time)")
@@ -140,21 +140,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-regions is empty: at least one region name required")
 		os.Exit(2)
 	}
-	// One region without stealing is the classic single-cell scheduler;
-	// anything more shards the pool per region behind the same interface.
-	var sched fleet.Scheduler
-	if len(regionList) == 1 && !*steal {
-		sched = fleet.NewLive(fleet.LiveConfig{
-			OCEs: *oces, Policy: policy, QueueLimit: *queue, AgingStep: *aging,
-			Obs: sink, RunnerName: runner.Name(),
-		})
-	} else {
-		sched = fleet.NewSharded(fleet.ShardedLiveConfig{
-			Regions: regionList, OCEs: *oces, Policy: policy,
-			QueueLimit: *queue, AgingStep: *aging, Steal: *steal,
-			Obs: sink, RunnerName: runner.Name(),
-		})
-	}
+	// One responder pool per region; a single region is the single cell.
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
+		Regions: regionList, OCEs: *oces, Policy: policy,
+		QueueLimit: *queue, AgingStep: *aging, Steal: *steal,
+		Obs: sink, RunnerName: runner.Name(),
+	})
 
 	// Open the journal (and scan what a previous life left) before the
 	// clock exists: in wall mode the simulated timeline resumes from the
@@ -204,6 +195,10 @@ func main() {
 			jr.Path(), stats.Records, stats.Reoffered, stats.Resolved, stats.Dropped)
 	}
 
+	// The drain handler goes in before the socket opens: a signal that
+	// lands once "serving on" is printed must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -220,8 +215,6 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "aiopsd: %v: draining\n", sig)
@@ -234,16 +227,10 @@ func main() {
 	gw.Shutdown()
 	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	shutdownHTTP(srv, *drainTO, logf)
-	if sh, ok := sched.(*fleet.ShardedScheduler); ok {
-		fmt.Println(fleet.ShardedSummaryTable(
-			fmt.Sprintf("aiopsd drain: %d regions, %d OCEs/region, queue bound %d, steal %v",
-				len(regionList), *oces, *queue, *steal),
-			sh.DrainSharded()))
-	} else {
-		fmt.Println(fleet.SummaryTable(
-			fmt.Sprintf("aiopsd drain: %d OCEs, queue bound %d", *oces, *queue),
-			[]fleet.Arm{{Name: runner.Name(), Report: sched.Drain()}}))
-	}
+	fmt.Println(fleet.ShardedSummaryTable(
+		fmt.Sprintf("aiopsd drain: %d regions, %d OCEs/region, queue bound %d, steal %v",
+			len(regionList), *oces, *queue, *steal),
+		sched.DrainSharded()))
 	c.MustExport()
 }
 

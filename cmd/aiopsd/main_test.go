@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -41,6 +42,7 @@ type daemon struct {
 	cmd    *exec.Cmd
 	base   string
 	stderr *bytes.Buffer
+	stdout *bytes.Buffer // read only after cmd.Wait
 }
 
 // startDaemon launches the binary in sim mode on an ephemeral port and
@@ -53,6 +55,8 @@ func startDaemon(t *testing.T, bin, journalDir string) *daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func startDaemon(t *testing.T, bin, journalDir string) *daemon {
 	}()
 	select {
 	case addr := <-addrc:
-		return &daemon{cmd: cmd, base: "http://" + addr, stderr: &buf}
+		return &daemon{cmd: cmd, base: "http://" + addr, stderr: &buf, stdout: &stdout}
 	case <-time.After(20 * time.Second):
 		_ = cmd.Process.Kill()
 		mu.Lock()
@@ -263,5 +267,30 @@ func TestShutdownHTTPLogsHungClient(t *testing.T) {
 	defer mu.Unlock()
 	if len(logged) != 1 || !strings.Contains(logged[0], "force-closing") {
 		t.Fatalf("drain log = %q, want one force-closing line", logged)
+	}
+}
+
+// TestSigtermRightAfterServingDrains: a SIGTERM sent the moment the
+// serving line appears must drain — exit 0 with the drain table on
+// stdout — because the handler is installed before the socket opens.
+// The table is the per-region one, a single default row plus the fleet
+// total.
+func TestSigtermRightAfterServingDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and signals the real binary")
+	}
+	t.Parallel()
+	d := startDaemon(t, buildAiopsd(t), t.TempDir())
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("aiopsd exit: %v (want 0); stdout:\n%s", err, d.stdout)
+	}
+	out := d.stdout.String()
+	for _, want := range []string{"aiopsd drain: 1 regions, 3 OCEs/region, queue bound 8, steal false", "\ndefault ", "\nfleet "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("drain table missing %q:\n%s", want, out)
+		}
 	}
 }

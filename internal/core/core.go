@@ -150,16 +150,6 @@ const (
 	StepNote         StepKind = "note"
 )
 
-// TraceStep is one entry in the session trace: the audit log the paper's
-// reliability requirement demands ("provides a reason for why it arrived
-// at a particular response").
-type TraceStep struct {
-	At     time.Duration
-	Round  int
-	Kind   StepKind
-	Detail string
-}
-
 // Outcome is the result of one helper session.
 type Outcome struct {
 	// Mitigated is true when verification confirmed the impact cleared
@@ -199,14 +189,10 @@ type Outcome struct {
 	Confirmed []string
 	// Applied is the union of executed actions.
 	Applied mitigation.Plan
-	// Trace is the full audit log.
-	//
-	// Deprecated: Trace carries only the display lines. Events is the
-	// superset: every display line plus the structural observations
-	// (hypotheses, tool dispositions, LLM costs, mitigation actions).
-	Trace []TraceStep
 	// Events is the structured session event stream, in emission order,
-	// with simulated-clock timestamps. NewSessionTrace renders it.
+	// with simulated-clock timestamps: the audit log the paper's
+	// reliability requirement demands ("provides a reason for why it
+	// arrived at a particular response"). NewSessionTrace renders it.
 	Events []obs.Event
 	// LLMUsage aggregates model token usage for the session (§3 system
 	// cost).

@@ -220,44 +220,13 @@ func Simulate(cfg Config) *Report {
 		}
 	}
 
-	// Phase 2 — speculative parallel session execution. Each trial is
-	// self-contained: it builds its own world from the pre-drawn seed
-	// and buffers events privately. The trial pool's own derived seeds
-	// are ignored; arrival seeds come from phase 1.
-	or, observed := cfg.Runner.(harness.ObservedRunner)
-	var recs []*obs.Recorder
-	if cfg.Obs != nil && observed {
-		recs = make([]*obs.Recorder, n)
-	}
-	trials := parallel.RunTrials(n, cfg.Workers, cfg.Seed, func(_ int64, i int) session {
-		a := arrivals[i]
-		in := a.scenario.Build(rand.New(rand.NewSource(a.seed)))
-		sev := in.Incident.Severity
-		var res harness.Result
-		if recs != nil {
-			rec := obs.AcquireRecorder(fmt.Sprintf("fleet/%04d", i))
-			recs[i] = rec
-			res = or.RunObserved(in, a.seed, rec)
-		} else {
-			res = cfg.Runner.Run(in, a.seed)
-		}
-		return session{res: res, severity: sev}
-	})
-	sessions := make([]session, n)
-	for i, tr := range trials {
-		if tr.Err != nil {
-			// A crashed session becomes a specialist hand-off, exactly
-			// as harness.PoolResult treats pooled trials.
-			sessions[i] = session{res: harness.Result{
-				Scenario: arrivals[i].scenario.Name(), Escalated: true, PlanErrors: 1,
-			}}
-			continue
-		}
-		sessions[i] = tr.Value
-	}
+	// Phase 2 — speculative parallel session execution.
+	sessions, recs := runSessions(cfg.Runner, cfg.Obs, cfg.Workers, cfg.Seed, n,
+		func(i int) (scenarios.Scenario, int64) { return arrivals[i].scenario, arrivals[i].seed },
+		func(i int) string { return fmt.Sprintf("fleet/%04d", i) })
 
 	// Phase 3 — serial discrete-event scheduling, on the same engine the
-	// live scheduler feeds one arrival at a time (see live.go). Arrivals
+	// ShardedScheduler feeds one arrival at a time (see live.go). Arrivals
 	// enter in arrival order; the engine interleaves completions exactly
 	// as the historical in-line loop did.
 	eng := newEngine(cfg.OCEs, cfg.Policy, cfg.QueueLimit, cfg.AgingStep)
@@ -274,34 +243,92 @@ func Simulate(cfg Config) *Report {
 
 	// Observability: per-arrival session streams absorb in arrival
 	// order, each followed by its fleet-level event, so the merged log
-	// is worker-count-independent. Shed arrivals discard their
-	// speculative session events — those sessions never happened.
+	// is worker-count-independent.
 	if cfg.Obs != nil {
 		runnerName := cfg.Runner.Name()
 		for i := range rep.Outcomes {
-			o := &rep.Outcomes[i]
-			if o.Shed {
-				cfg.Obs.Emit(obs.Event{
-					Type: obs.EvFleetShed, At: o.ArrivedAt, Session: fmt.Sprintf("fleet/%04d", i),
-					Runner: runnerName, Scenario: o.Scenario,
-				})
-			} else {
-				if recs != nil {
-					cfg.Obs.Absorb(recs[i])
-				}
-				cfg.Obs.Emit(obs.Event{
-					Type: obs.EvFleetIncident, At: o.ArrivedAt, Session: fmt.Sprintf("fleet/%04d", i),
-					Runner: runnerName, Scenario: o.Scenario,
-					Queue: o.Queue, Resolution: o.Resolution,
-				})
-			}
-			if recs != nil && recs[i] != nil {
-				recs[i].Release()
-			}
+			emitOutcome(cfg.Obs, runnerName, "fleet/", fmt.Sprintf("%04d", i), &rep.Outcomes[i], recAt(recs, i))
 		}
 	}
 
 	return rep
+}
+
+// runSessions is phase 2 of both simulators: every pre-drawn arrival's
+// session executes speculatively on the parallel trial pool. Each trial
+// is self-contained: it builds its own world from the seed draw(i)
+// returns and buffers events privately, in a recorder labelled label(i)
+// when sink is set and the runner is observed (recs is nil otherwise).
+// The trial pool's own derived seeds are ignored. Sessions for arrivals
+// the admission controller later sheds are discarded — speculation
+// wastes a little compute to keep the phase embarrassingly parallel.
+func runSessions(runner harness.Runner, sink *obs.Sink, workers int, seed int64, n int,
+	draw func(i int) (scenarios.Scenario, int64), label func(i int) string) (sessions []session, recs []*obs.Recorder) {
+	or, observed := runner.(harness.ObservedRunner)
+	if sink != nil && observed {
+		recs = make([]*obs.Recorder, n)
+	}
+	trials := parallel.RunTrials(n, workers, seed, func(_ int64, i int) session {
+		sc, s := draw(i)
+		in := sc.Build(rand.New(rand.NewSource(s)))
+		sev := in.Incident.Severity
+		var res harness.Result
+		if recs != nil {
+			rec := obs.AcquireRecorder(label(i))
+			recs[i] = rec
+			res = or.RunObserved(in, s, rec)
+		} else {
+			res = runner.Run(in, s)
+		}
+		return session{res: res, severity: sev}
+	})
+	sessions = make([]session, n)
+	for i, tr := range trials {
+		if tr.Err != nil {
+			// A crashed session becomes a specialist hand-off, exactly
+			// as harness.PoolResult treats pooled trials.
+			sc, _ := draw(i)
+			sessions[i] = session{res: harness.Result{Scenario: sc.Name(), Escalated: true, PlanErrors: 1}}
+			continue
+		}
+		sessions[i] = tr.Value
+	}
+	return sessions, recs
+}
+
+// recAt returns arrival i's recorder, or nil when sessions ran
+// unrecorded.
+func recAt(recs []*obs.Recorder, i int) *obs.Recorder {
+	if recs == nil {
+		return nil
+	}
+	return recs[i]
+}
+
+// emitOutcome is the one place a fleet outcome reaches observability.
+// An admitted arrival absorbs its buffered session stream, then emits
+// its fleet-incident event; a shed arrival emits the shed event and
+// discards its speculative session stream — that session never
+// happened. The recorder is released either way. The session label is
+// prefix+id, built only when sink is set, so unobserved runs pay
+// nothing here.
+func emitOutcome(sink *obs.Sink, runner, prefix, id string, o *Outcome, rec *obs.Recorder) {
+	if sink != nil {
+		e := obs.Event{
+			Type: obs.EvFleetIncident, At: o.ArrivedAt, Session: prefix + id,
+			Runner: runner, Scenario: o.Scenario, Region: o.Region,
+		}
+		if o.Shed {
+			e.Type = obs.EvFleetShed
+		} else {
+			sink.Absorb(rec)
+			e.Queue, e.Resolution = o.Queue, o.Resolution
+		}
+		sink.Emit(e)
+	}
+	if rec != nil {
+		rec.Release()
+	}
 }
 
 // aggregate fills the report's summary statistics and saturation gauges.

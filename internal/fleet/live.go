@@ -1,13 +1,12 @@
 package fleet
 
-// The live scheduler: the open-ended arrival-stream form of the fleet
-// simulator. Simulate pre-draws every arrival and runs to completion;
-// a production service never sees the end of its arrival stream. This
-// file refactors the phase-3 discrete-event loop into a reusable engine
-// (Simulate replays batches through it, byte-identically) and wraps it
-// in a LiveScheduler that accepts arrivals one at a time — from HTTP
-// handlers, at any interleaving — while keeping the repo's determinism
-// contract: the schedule is a pure function of the accepted arrival set
+// The live arrival-stream contract and the discrete-event engine under
+// every fleet front end. Simulate pre-draws every arrival and runs to
+// completion; a production service never sees the end of its arrival
+// stream. The ShardedScheduler (shard.go) accepts arrivals one at a
+// time — from HTTP handlers, at any interleaving — and feeds them into
+// one engine per region while keeping the repo's determinism contract:
+// the schedule is a pure function of the accepted arrival set
 // {(At, ID, session)}, never of submission order or client concurrency.
 //
 // The bridge to real time is deliberately thin: the scheduler itself
@@ -29,20 +28,18 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
-// engine is the serial discrete-event core shared by Simulate and the
-// LiveScheduler: responder pool state, the severity/aging priority
-// queue, admission control, and the completion loop. It is not safe for
-// concurrent use; callers serialize (Simulate is single-threaded, the
-// LiveScheduler holds its mutex).
+// engine is the serial discrete-event core shared by Simulate,
+// SimulateSharded and the ShardedScheduler: responder pool state, the
+// severity/aging priority queue, admission control, and the completion
+// loop. It is not safe for concurrent use; callers serialize (the
+// simulators are single-threaded per engine, the ShardedScheduler holds
+// its mutex).
 type engine struct {
 	oces       int
 	policy     Policy
@@ -63,9 +60,9 @@ type engine struct {
 
 	// onProcessed, when non-nil, fires the moment an outcome's fleet
 	// fate is decided — at dispatch (queue delay and resolution known)
-	// or at shed. The live scheduler uses it to emit fleet events in
-	// deterministic processing order; Simulate leaves it nil and emits
-	// after the run in arrival order, as it always has.
+	// or at shed. The ShardedScheduler uses it to emit fleet events in
+	// deterministic processing order; the simulators' steal-free paths
+	// leave it nil and emit after the run in arrival order.
 	onProcessed func(idx int)
 }
 
@@ -228,44 +225,16 @@ func (e *engine) report(oces int, sink *obs.Sink, labels obs.Labels) *Report {
 	return rep
 }
 
-// ---------------------------------------------------------------------------
-// LiveScheduler — the open-ended arrival stream.
-// ---------------------------------------------------------------------------
+// LiveConfig configures NewLive.
+//
+// Deprecated: use ShardedLiveConfig.
+type LiveConfig = ShardedLiveConfig
 
-// LiveConfig parameterizes a live scheduler. Unlike Config there is no
-// arrival process and no trial pool: arrivals come from outside (with
-// their sessions already executed, typically in the submitting HTTP
-// handler's goroutine — that is where live-mode parallelism lives), and
-// the stream has no predeclared end.
-type LiveConfig struct {
-	// OCEs is the responder pool size (default 3).
-	OCEs int
-	// Policy, QueueLimit and AgingStep behave exactly as in Config.
-	Policy     Policy
-	QueueLimit int
-	AgingStep  time.Duration
-	// Obs, when non-nil, receives each admitted arrival's session event
-	// stream (absorbed at dispatch time, in deterministic processing
-	// order) and the fleet-level incident/shed events.
-	Obs *obs.Sink
-	// RunnerName stamps the fleet-level events.
-	RunnerName string
-	// OnShed, when non-nil, fires when admission control sheds an
-	// arrival (the gateway journals the transition). Called with the
-	// scheduler lock held: keep it quick and never call back into the
-	// scheduler.
-	OnShed func(id string, at time.Duration)
-}
-
-func (cfg LiveConfig) withDefaults() LiveConfig {
-	if cfg.OCEs <= 0 {
-		cfg.OCEs = 3
-	}
-	if cfg.AgingStep == 0 {
-		cfg.AgingStep = 30 * time.Minute
-	}
-	return cfg
-}
+// NewLive builds a live scheduler: one region unless c.Regions names
+// more.
+//
+// Deprecated: use NewSharded.
+func NewLive(c LiveConfig) *ShardedScheduler { return NewSharded(c) }
 
 // LiveArrival is one externally submitted incident: an identifier, an
 // explicit simulated-clock arrival time, the (already executed) session
@@ -280,9 +249,8 @@ type LiveArrival struct {
 	Scenario string
 	// Severity is the dispatch priority class (0..3).
 	Severity int
-	// Region homes the arrival in a fleet region. The single-cell
-	// LiveScheduler ignores it; the ShardedScheduler routes on it
-	// (empty means DefaultRegion).
+	// Region homes the arrival in a fleet region (empty means
+	// DefaultRegion).
 	Region string
 	// Result is the session outcome for this incident, pre-executed by
 	// the submitter.
@@ -333,250 +301,3 @@ var (
 	// ErrDrained rejects arrivals after Drain closed the intake.
 	ErrDrained = errors.New("fleet: scheduler drained")
 )
-
-// LiveScheduler feeds an open-ended arrival stream through the
-// discrete-event engine. Safe for concurrent use.
-type LiveScheduler struct {
-	mu        sync.Mutex
-	cfg       LiveConfig
-	eng       *engine
-	pending   []LiveArrival // sorted by (At, ID)
-	pendIdx   map[string]bool
-	index     map[string]int // ID -> outcome index once admitted
-	ids       []string       // outcome index -> ID
-	recs      []*obs.Recorder
-	watermark time.Duration
-	drained   bool
-	rep       *Report
-}
-
-// NewLive builds a live scheduler.
-func NewLive(cfg LiveConfig) *LiveScheduler {
-	cfg = cfg.withDefaults()
-	s := &LiveScheduler{
-		cfg:     cfg,
-		eng:     newEngine(cfg.OCEs, cfg.Policy, cfg.QueueLimit, cfg.AgingStep),
-		pendIdx: map[string]bool{},
-		index:   map[string]int{},
-	}
-	s.eng.onProcessed = s.processed
-	return s
-}
-
-// SetOnShed installs (or replaces) the admission-shed hook after
-// construction — the gateway wires its write-ahead journal here. The
-// hook contract matches LiveConfig.OnShed.
-func (s *LiveScheduler) SetOnShed(fn func(id string, at time.Duration)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.OnShed = fn
-}
-
-// Offer submits one arrival. It never blocks on scheduling work: the
-// arrival parks in the pending set until the watermark passes its At.
-func (s *LiveScheduler) Offer(a LiveArrival) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.drained {
-		return ErrDrained
-	}
-	if a.ID == "" {
-		return errors.New("fleet: arrival id must be non-empty")
-	}
-	if s.pendIdx[a.ID] {
-		return fmt.Errorf("%w: %s", ErrDuplicateID, a.ID)
-	}
-	if _, ok := s.index[a.ID]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicateID, a.ID)
-	}
-	if a.At < s.watermark {
-		return fmt.Errorf("%w: %s at %s < %s", ErrStaleArrival, a.ID, a.At, s.watermark)
-	}
-	// Insert in (At, ID) order; the pending set stays sorted so admit
-	// order is a pure function of the accepted set.
-	at := sort.Search(len(s.pending), func(i int) bool {
-		p := s.pending[i]
-		return p.At > a.At || (p.At == a.At && p.ID > a.ID)
-	})
-	s.pending = append(s.pending, LiveArrival{})
-	copy(s.pending[at+1:], s.pending[at:])
-	s.pending[at] = a
-	s.pendIdx[a.ID] = true
-	return nil
-}
-
-// StepTo advances the watermark to t (it never moves backward) and
-// processes everything the discrete-event engine owes up to it: pending
-// arrivals with At <= t, in (At, ID) order, interleaved with responder
-// completions.
-func (s *LiveScheduler) StepTo(t time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.drained {
-		return
-	}
-	if t > s.watermark {
-		s.watermark = t
-	}
-	s.processLocked(s.watermark)
-}
-
-// processLocked admits pending arrivals up to t, then runs completions
-// up to t.
-func (s *LiveScheduler) processLocked(t time.Duration) {
-	for len(s.pending) > 0 && s.pending[0].At <= t {
-		a := s.pending[0]
-		s.pending = s.pending[1:]
-		delete(s.pendIdx, a.ID)
-		s.admitLocked(a)
-	}
-	s.eng.completeUntil(t)
-}
-
-// admitLocked moves one arrival from pending into the engine.
-func (s *LiveScheduler) admitLocked(a LiveArrival) {
-	idx := s.eng.add(Outcome{
-		Index: len(s.eng.outcomes), Scenario: a.Scenario, Severity: a.Severity,
-		Region: a.Region, ArrivedAt: a.At, Result: a.Result,
-	}, session{res: a.Result, severity: a.Severity})
-	s.index[a.ID] = idx
-	s.ids = append(s.ids, a.ID)
-	s.recs = append(s.recs, a.Events)
-	s.eng.arrive(idx)
-}
-
-// processed is the engine's onProcessed hook: emit observability for
-// outcome idx the moment its fate (dispatch or shed) is decided. The
-// engine is serial under s.mu, so absorb order is the deterministic
-// processing order.
-func (s *LiveScheduler) processed(idx int) {
-	rec := s.recs[idx]
-	s.recs[idx] = nil
-	o := &s.eng.outcomes[idx]
-	if o.Shed && s.cfg.OnShed != nil {
-		s.cfg.OnShed(s.ids[idx], o.ArrivedAt)
-	}
-	if s.cfg.Obs == nil {
-		if rec != nil {
-			rec.Release()
-		}
-		return
-	}
-	session := "gw/" + s.ids[idx]
-	if o.Shed {
-		// Shed arrivals discard their session events — those sessions
-		// never happened.
-		s.cfg.Obs.Emit(obs.Event{
-			Type: obs.EvFleetShed, At: o.ArrivedAt, Session: session,
-			Runner: s.cfg.RunnerName, Scenario: o.Scenario, Region: o.Region,
-		})
-	} else {
-		s.cfg.Obs.Absorb(rec)
-		s.cfg.Obs.Emit(obs.Event{
-			Type: obs.EvFleetIncident, At: o.ArrivedAt, Session: session,
-			Runner: s.cfg.RunnerName, Scenario: o.Scenario, Region: o.Region,
-			Queue: o.Queue, Resolution: o.Resolution,
-		})
-	}
-	if rec != nil {
-		rec.Release()
-	}
-}
-
-// Lookup reports the current state of an arrival by ID.
-func (s *LiveScheduler) Lookup(id string) (LiveStatus, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pendIdx[id] {
-		return LiveStatus{State: StatePending}, true
-	}
-	idx, ok := s.index[id]
-	if !ok {
-		return LiveStatus{}, false
-	}
-	o := s.eng.outcomes[idx]
-	st := LiveStatus{Outcome: o}
-	switch {
-	case o.Shed:
-		st.State = StateShed
-	case s.queuedLocked(idx):
-		st.State = StateQueued
-	case s.drained || o.StartedAt+o.Handling <= s.watermark:
-		st.State = StateResolved
-	default:
-		st.State = StateActive
-	}
-	return st, true
-}
-
-func (s *LiveScheduler) queuedLocked(idx int) bool {
-	for _, q := range s.eng.queued {
-		if q == idx {
-			return true
-		}
-	}
-	return false
-}
-
-// Watermark returns the scheduler's current simulated-time watermark.
-func (s *LiveScheduler) Watermark() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watermark
-}
-
-// Drained reports whether Drain has closed the intake (the gateway's
-// /readyz flips not-ready on it).
-func (s *LiveScheduler) Drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drained
-}
-
-// Depth reports (pending, queued) sizes — the service's backpressure
-// signals.
-func (s *LiveScheduler) Depth() (pending, queued int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending), len(s.eng.queued)
-}
-
-// Drain closes the intake, admits every still-pending arrival at its
-// stamped time, runs the pool to idle, and returns the aggregate
-// report (idempotent afterwards). This is the graceful-shutdown path —
-// and, for the sim-clock harnesses, the run-to-completion step.
-func (s *LiveScheduler) Drain() *Report {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.drained {
-		return s.rep
-	}
-	for len(s.pending) > 0 {
-		a := s.pending[0]
-		s.pending = s.pending[1:]
-		delete(s.pendIdx, a.ID)
-		s.admitLocked(a)
-	}
-	s.eng.completeUntil(never)
-	if s.eng.makespan > s.watermark {
-		s.watermark = s.eng.makespan
-	}
-	s.drained = true
-	s.rep = s.eng.report(s.cfg.OCEs, s.cfg.Obs, nil)
-	return s.rep
-}
-
-// Regions returns the scheduler's region set: the single-cell live
-// scheduler is one default region.
-func (s *LiveScheduler) Regions() []string { return []string{DefaultRegion} }
-
-// IDOf returns the arrival ID for an outcome index in the drained
-// report (test hook).
-func (s *LiveScheduler) IDOf(idx int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idx < 0 || idx >= len(s.ids) {
-		return ""
-	}
-	return s.ids[idx]
-}

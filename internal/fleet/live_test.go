@@ -42,60 +42,89 @@ func liveArrivalSet(seed int64, n int) []LiveArrival {
 // the drained report is a pure function of the accepted arrival SET —
 // submission order and step cadence must not change a thing. One
 // reference run (in-order submission, single drain) against shuffled
-// submissions with random StepTo interleavings.
+// submissions with random StepTo interleavings, for the single cell and
+// for three stealing regions. Steal decisions happen at tick barriers,
+// so the stealing case steps only to multiples of BatchStep: the tick
+// grid is part of its input, the order of submissions is not.
 func TestLiveSubmissionOrderIndependence(t *testing.T) {
 	t.Parallel()
-	arrivals := liveArrivalSet(3, 60)
-	cfg := LiveConfig{OCEs: 2, QueueLimit: 4, AgingStep: 30 * time.Minute}
-
-	reference := func() *Report {
-		s := NewLive(cfg)
-		for _, a := range arrivals {
-			if err := s.Offer(a); err != nil {
-				t.Fatal(err)
+	homes := []string{"a", "a", "b", "c"}
+	for _, tc := range []struct {
+		name string
+		cfg  ShardedLiveConfig
+	}{
+		{"one region", ShardedLiveConfig{OCEs: 2, QueueLimit: 4, AgingStep: 30 * time.Minute}},
+		{"three regions steal", ShardedLiveConfig{
+			Regions: []string{"a", "b", "c"}, OCEs: 1, QueueLimit: 1,
+			AgingStep: 30 * time.Minute, Steal: true, BatchStep: 15 * time.Minute,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			arrivals := liveArrivalSet(3, 60)
+			grid := time.Duration(1)
+			if tc.cfg.Steal {
+				grid = tc.cfg.BatchStep
+				for i := range arrivals {
+					arrivals[i].Region = homes[i%len(homes)]
+				}
 			}
-		}
-		return s.Drain()
-	}()
 
-	for trial := 0; trial < 5; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		s := NewLive(cfg)
-		for _, i := range rng.Perm(len(arrivals)) {
-			if err := s.Offer(arrivals[i]); err != nil {
-				t.Fatal(err)
-			}
-			// Random watermark advances between submissions — but never
-			// past an arrival not yet offered, or Offer would
-			// (correctly) reject it as stale.
-			if rng.Intn(3) == 0 {
-				limit := never
-				for _, j := range rng.Perm(len(arrivals)) {
-					if _, ok := s.Lookup(arrivals[j].ID); !ok && arrivals[j].At < limit {
-						limit = arrivals[j].At
+			reference := func() *ShardedReport {
+				s := NewSharded(tc.cfg)
+				for _, a := range arrivals {
+					if err := s.Offer(a); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if limit > 0 && limit != never {
-					s.StepTo(time.Duration(rng.Int63n(int64(limit))))
+				return s.DrainSharded()
+			}()
+			if tc.cfg.Steal && reference.Stolen == 0 {
+				t.Fatal("no steals: the stealing case does not exercise the steal pass")
+			}
+
+			for trial := 0; trial < 5; trial++ {
+				rng := rand.New(rand.NewSource(int64(100 + trial)))
+				s := NewSharded(tc.cfg)
+				for _, i := range rng.Perm(len(arrivals)) {
+					if err := s.Offer(arrivals[i]); err != nil {
+						t.Fatal(err)
+					}
+					// Random watermark advances between submissions — but
+					// never past an arrival not yet offered, or Offer
+					// would (correctly) reject it as stale.
+					if rng.Intn(3) == 0 {
+						limit := never
+						for _, j := range rng.Perm(len(arrivals)) {
+							if _, ok := s.Lookup(arrivals[j].ID); !ok && arrivals[j].At < limit {
+								limit = arrivals[j].At
+							}
+						}
+						if limit > 0 && limit != never {
+							s.StepTo(time.Duration(rng.Int63n(int64(limit))) / grid * grid)
+						}
+					}
+				}
+				got := s.DrainSharded()
+				if !reflect.DeepEqual(got, reference) {
+					t.Fatalf("trial %d: report depends on submission interleaving:\ngot:  %+v\nwant: %+v",
+						trial, got, reference)
 				}
 			}
-		}
-		got := s.Drain()
-		if !reflect.DeepEqual(got, reference) {
-			t.Fatalf("trial %d: report depends on submission interleaving:\ngot:  %+v\nwant: %+v",
-				trial, got, reference)
-		}
+		})
 	}
 }
 
-// TestLiveMatchesEngineSemantics replays a batch through the live path
-// and through a plain engine run (Simulate's phase 3) and checks the
-// outcomes agree — the two front ends share one discrete-event core.
+// TestLiveMatchesEngineSemantics replays a batch through a one-region
+// live scheduler and through a plain engine run (Simulate's phase 3)
+// and checks the reports agree field for field and render the same
+// summary table — the live front end adds nothing to the discrete-event
+// core it shares with the simulators.
 func TestLiveMatchesEngineSemantics(t *testing.T) {
 	t.Parallel()
-	arrivals := liveArrivalSet(11, 40)
+	arrivals := liveArrivalSet(11, 80)
 
-	live := NewLive(LiveConfig{OCEs: 2, QueueLimit: 3, AgingStep: 30 * time.Minute})
+	live := NewSharded(ShardedLiveConfig{OCEs: 2, QueueLimit: 3, AgingStep: 30 * time.Minute})
 	for _, a := range arrivals {
 		if err := live.Offer(a); err != nil {
 			t.Fatal(err)
@@ -106,7 +135,7 @@ func TestLiveMatchesEngineSemantics(t *testing.T) {
 	eng := newEngine(2, SeverityAging, 3, 30*time.Minute)
 	for i, a := range arrivals {
 		eng.add(Outcome{
-			Index: i, Scenario: a.Scenario, Severity: a.Severity,
+			Index: i, Scenario: a.Scenario, Severity: a.Severity, Region: DefaultRegion,
 			ArrivedAt: a.At, Result: a.Result,
 		}, session{res: a.Result, severity: a.Severity})
 		eng.arrive(i)
@@ -117,12 +146,17 @@ func TestLiveMatchesEngineSemantics(t *testing.T) {
 	if !reflect.DeepEqual(liveRep, engRep) {
 		t.Fatalf("live and batch disagree:\nlive:  %+v\nbatch: %+v", liveRep, engRep)
 	}
+	a := SummaryTable("x", []Arm{{Name: "arm", Report: liveRep}}).String()
+	b := SummaryTable("x", []Arm{{Name: "arm", Report: engRep}}).String()
+	if a != b {
+		t.Fatalf("aggregate tables differ:\n%s\nvs\n%s", a, b)
+	}
 }
 
 // TestLiveOfferErrors pins the admission-time error taxonomy.
 func TestLiveOfferErrors(t *testing.T) {
 	t.Parallel()
-	s := NewLive(LiveConfig{OCEs: 1})
+	s := NewSharded(ShardedLiveConfig{OCEs: 1})
 	ok := LiveArrival{ID: "a", At: time.Hour, Result: harness.Result{TTM: time.Minute}}
 	if err := s.Offer(ok); err != nil {
 		t.Fatal(err)
@@ -144,7 +178,7 @@ func TestLiveOfferErrors(t *testing.T) {
 	if err := s.Offer(LiveArrival{ID: "c", At: 9 * time.Hour}); !errors.Is(err, ErrDrained) {
 		t.Fatalf("post-drain offer: %v", err)
 	}
-	if rep1, rep2 := s.Drain(), s.Drain(); rep1 != rep2 {
+	if rep1, rep2 := s.DrainSharded(), s.DrainSharded(); rep1 != rep2 {
 		t.Fatal("Drain is not idempotent")
 	}
 }
@@ -154,7 +188,7 @@ func TestLiveOfferErrors(t *testing.T) {
 // shed under a saturated 1-OCE pool.
 func TestLiveLookupLifecycle(t *testing.T) {
 	t.Parallel()
-	s := NewLive(LiveConfig{OCEs: 1, QueueLimit: 1})
+	s := NewSharded(ShardedLiveConfig{OCEs: 1, QueueLimit: 1})
 	offer := func(id string, at, ttm time.Duration) {
 		t.Helper()
 		if err := s.Offer(LiveArrival{ID: id, At: at, Result: harness.Result{TTM: ttm, Mitigated: true}}); err != nil {
@@ -202,9 +236,6 @@ func TestLiveLookupLifecycle(t *testing.T) {
 	if st, _ := s.Lookup("second"); st.State != StateResolved {
 		t.Fatalf("second after drain: %v", st.State)
 	}
-	if got := s.IDOf(0); got != "first" {
-		t.Fatalf("IDOf(0) = %q", got)
-	}
 }
 
 // TestLiveObsDeterministic feeds the same arrival set (with recorded
@@ -215,7 +246,7 @@ func TestLiveObsDeterministic(t *testing.T) {
 	arrivals := liveArrivalSet(5, 30)
 	run := func(stepEvery int) string {
 		sink := obs.NewSink()
-		s := NewLive(LiveConfig{OCEs: 2, QueueLimit: 3, Obs: sink, RunnerName: "live-test"})
+		s := NewSharded(ShardedLiveConfig{OCEs: 2, QueueLimit: 3, Obs: sink, RunnerName: "live-test"})
 		for i, a := range arrivals {
 			rec := obs.AcquireRecorder("gw/" + a.ID)
 			rec.Emit(obs.Event{Type: obs.EvSessionStart, Session: "gw/" + a.ID, Scenario: a.Scenario})

@@ -9,9 +9,9 @@ package fleet
 // Hyperscale incident management is region-sharded: every region owns a
 // local responder pool, storms correlate arrivals across regions, and
 // overload escalates across region boundaries (the Malik hyperscale
-// architecture in PAPERS.md). The single-cell engine in live.go scales
-// to one responder pool; this file composes R of them without giving up
-// one byte of the determinism contract:
+// architecture in PAPERS.md). The engine in live.go scales to one
+// responder pool; this file composes R of them — one region is the
+// single cell — without giving up one byte of the determinism contract:
 //
 //   - Batched ticks. The scheduler advances all shards to a common
 //     watermark per tick (BatchStep apart), not per event. Within a
@@ -33,7 +33,7 @@ package fleet
 //     while its Outcome stays homed (Region is always the home region;
 //     LiveStatus.HandledBy names the executing region). No idle
 //     responder anywhere: the arrival sheds at its home shard, exactly
-//     as the single-cell admission controller would have.
+//     as the shard's own admission controller would have.
 //
 // Every choice above is a pure function of the accepted arrival set and
 // the StepTo call sequence — never of submission interleaving, worker
@@ -52,22 +52,23 @@ import (
 )
 
 // DefaultRegion homes arrivals that do not name a region — and is the
-// implicit region of every pre-sharding journal record and single-cell
-// scheduler.
+// implicit region of every pre-sharding journal record and of a
+// one-region scheduler.
 const DefaultRegion = "default"
 
 // ErrUnknownRegion rejects an arrival naming a region the scheduler was
 // not configured with.
 var ErrUnknownRegion = errors.New("fleet: unknown region")
 
-// Scheduler is the gateway-facing contract the single-cell LiveScheduler
-// and the ShardedScheduler both satisfy: submit arrivals, push the
-// simulated-clock watermark, inspect state, drain.
+// Scheduler is the gateway-facing contract the ShardedScheduler
+// satisfies (wrappers, such as tracing decorators, embed it): submit
+// arrivals, push the simulated-clock watermark, inspect state, drain.
 type Scheduler interface {
 	Offer(LiveArrival) error
 	StepTo(time.Duration)
 	Lookup(id string) (LiveStatus, bool)
 	Drain() *Report
+	DrainSharded() *ShardedReport
 	Drained() bool
 	Depth() (pending, queued int)
 	Watermark() time.Duration
@@ -75,10 +76,7 @@ type Scheduler interface {
 	Regions() []string
 }
 
-var (
-	_ Scheduler = (*LiveScheduler)(nil)
-	_ Scheduler = (*ShardedScheduler)(nil)
-)
+var _ Scheduler = (*ShardedScheduler)(nil)
 
 // ShardedLiveConfig parameterizes a sharded live scheduler.
 type ShardedLiveConfig struct {
@@ -87,7 +85,7 @@ type ShardedLiveConfig struct {
 	Regions []string
 	// OCEs is each region's responder pool size (default 3).
 	OCEs int
-	// Policy, QueueLimit and AgingStep behave exactly as in LiveConfig,
+	// Policy, QueueLimit and AgingStep behave exactly as in Config,
 	// applied per shard.
 	Policy     Policy
 	QueueLimit int
@@ -100,13 +98,21 @@ type ShardedLiveConfig struct {
 	// watermark stride, and therefore the steal-decision latency
 	// (default 15 minutes).
 	BatchStep time.Duration
-	// Obs, RunnerName and OnShed behave exactly as in LiveConfig.
-	Obs        *obs.Sink
+	// Obs, when non-nil, receives each admitted arrival's session event
+	// stream (absorbed at dispatch time, in deterministic processing
+	// order), the fleet-level incident/shed events, and the saturation
+	// gauges.
+	Obs *obs.Sink
+	// RunnerName stamps the fleet-level events.
 	RunnerName string
 	// SessionPrefix prefixes arrival IDs in fleet-level event session
-	// labels (default "gw/", matching the single-cell scheduler).
+	// labels (default "gw/", the gateway's).
 	SessionPrefix string
-	OnShed        func(id string, at time.Duration)
+	// OnShed, when non-nil, fires when admission control sheds an
+	// arrival (the gateway journals the transition). Called with the
+	// scheduler lock held: keep it quick and never call back into the
+	// scheduler.
+	OnShed func(id string, at time.Duration)
 }
 
 func (cfg ShardedLiveConfig) withDefaults() ShardedLiveConfig {
@@ -209,17 +215,20 @@ func (s *ShardedScheduler) Regions() []string {
 	return append([]string(nil), s.regions...)
 }
 
-// SetOnShed installs (or replaces) the admission-shed hook; contract as
-// in LiveScheduler.
+// SetOnShed installs (or replaces) the admission-shed hook after
+// construction — the gateway wires its write-ahead journal here. The
+// hook contract matches ShardedLiveConfig.OnShed.
 func (s *ShardedScheduler) SetOnShed(fn func(id string, at time.Duration)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cfg.OnShed = fn
 }
 
-// Offer submits one arrival to its home region's shard. An empty Region
-// means DefaultRegion; an unconfigured one is ErrUnknownRegion. The
-// duplicate/stale rules match the single-cell scheduler.
+// Offer submits one arrival to its home region's shard. It never blocks
+// on scheduling work: the arrival parks in the pending set until the
+// watermark passes its At. An empty Region means DefaultRegion; an
+// unconfigured one is ErrUnknownRegion; a repeated ID is ErrDuplicateID
+// and an At before the watermark ErrStaleArrival.
 func (s *ShardedScheduler) Offer(a LiveArrival) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -244,6 +253,8 @@ func (s *ShardedScheduler) Offer(a LiveArrival) error {
 	if a.At < s.watermark {
 		return fmt.Errorf("%w: %s at %s < %s", ErrStaleArrival, a.ID, a.At, s.watermark)
 	}
+	// Insert in (At, ID) order; the pending set stays sorted so admit
+	// order is a pure function of the accepted set.
 	at := sort.Search(len(s.pending), func(i int) bool {
 		p := s.pending[i]
 		return p.At > a.At || (p.At == a.At && p.ID > a.ID)
@@ -385,29 +396,7 @@ func (s *ShardedScheduler) processedShard(sh *regionShard, idx int) {
 	if o.Shed && s.cfg.OnShed != nil {
 		s.cfg.OnShed(sh.ids[idx], o.ArrivedAt)
 	}
-	if s.cfg.Obs == nil {
-		if rec != nil {
-			rec.Release()
-		}
-		return
-	}
-	session := s.cfg.SessionPrefix + sh.ids[idx]
-	if o.Shed {
-		s.cfg.Obs.Emit(obs.Event{
-			Type: obs.EvFleetShed, At: o.ArrivedAt, Session: session,
-			Runner: s.cfg.RunnerName, Scenario: o.Scenario, Region: o.Region,
-		})
-	} else {
-		s.cfg.Obs.Absorb(rec)
-		s.cfg.Obs.Emit(obs.Event{
-			Type: obs.EvFleetIncident, At: o.ArrivedAt, Session: session,
-			Runner: s.cfg.RunnerName, Scenario: o.Scenario, Region: o.Region,
-			Queue: o.Queue, Resolution: o.Resolution,
-		})
-	}
-	if rec != nil {
-		rec.Release()
-	}
+	emitOutcome(s.cfg.Obs, s.cfg.RunnerName, s.cfg.SessionPrefix, sh.ids[idx], o, rec)
 }
 
 // Lookup reports the current state of an arrival by ID.

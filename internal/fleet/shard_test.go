@@ -225,33 +225,44 @@ func TestShardedRegionValidation(t *testing.T) {
 }
 
 // TestShardedSingleRegionMatchesLive: a one-region sharded scheduler
-// (stealing off) is semantically the single-cell live scheduler — the
-// drained outcomes must match field-for-field apart from the region
-// stamp, and the aggregate tables byte-for-byte.
+// (stealing off, every other knob at its default) is semantically the
+// single-cell engine — each drained outcome carries the home region
+// stamp and otherwise matches the bare engine's field for field, and
+// the aggregate tables match byte for byte.
 func TestShardedSingleRegionMatchesLive(t *testing.T) {
 	t.Parallel()
 	arrivals := liveArrivalSet(11, 80)
 
-	live := NewLive(LiveConfig{OCEs: 2, QueueLimit: 4})
 	sharded := NewSharded(ShardedLiveConfig{OCEs: 2, QueueLimit: 4})
 	for _, a := range arrivals {
-		if err := live.Offer(a); err != nil {
-			t.Fatal(err)
-		}
 		if err := sharded.Offer(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lr := live.Drain()
 	sr := sharded.Drain()
+
+	eng := newEngine(2, SeverityAging, 4, 30*time.Minute)
+	for i, a := range arrivals {
+		eng.add(Outcome{
+			Index: i, Scenario: a.Scenario, Severity: a.Severity,
+			ArrivedAt: a.At, Result: a.Result,
+		}, session{res: a.Result, severity: a.Severity})
+		eng.arrive(i)
+	}
+	eng.completeUntil(never)
+	lr := eng.report(2, nil, nil)
+
 	if len(lr.Outcomes) != len(sr.Outcomes) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(lr.Outcomes), len(sr.Outcomes))
 	}
 	for i := range sr.Outcomes {
 		want, got := lr.Outcomes[i], sr.Outcomes[i]
-		got.Region = "" // live leaves the region unset; sharded stamps home
+		if got.Region != DefaultRegion {
+			t.Fatalf("outcome %d region = %q, want home %q", i, got.Region, DefaultRegion)
+		}
+		got.Region = "" // the bare engine leaves the region unset
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("outcome %d differs:\nlive    %+v\nsharded %+v", i, want, got)
+			t.Fatalf("outcome %d differs:\nengine  %+v\nsharded %+v", i, want, got)
 		}
 	}
 	a := SummaryTable("x", []Arm{{Name: "arm", Report: lr}}).String()

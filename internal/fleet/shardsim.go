@@ -143,35 +143,9 @@ func SimulateSharded(cfg ShardedConfig) *ShardedReport {
 	sort.SliceStable(draws, func(i, j int) bool { return draws[i].at < draws[j].at })
 
 	// Phase 2 — speculative parallel session execution, as in Simulate.
-	or, observed := cfg.Runner.(harness.ObservedRunner)
-	var recs []*obs.Recorder
-	if cfg.Obs != nil && observed {
-		recs = make([]*obs.Recorder, n)
-	}
-	trials := parallel.RunTrials(n, cfg.Workers, cfg.Seed, func(_ int64, i int) session {
-		d := draws[i]
-		in := d.scenario.Build(rand.New(rand.NewSource(d.seed)))
-		sev := in.Incident.Severity
-		var res harness.Result
-		if recs != nil {
-			rec := obs.AcquireRecorder("fleet/" + d.id)
-			recs[i] = rec
-			res = or.RunObserved(in, d.seed, rec)
-		} else {
-			res = cfg.Runner.Run(in, d.seed)
-		}
-		return session{res: res, severity: sev}
-	})
-	sessions := make([]session, n)
-	for i, tr := range trials {
-		if tr.Err != nil {
-			sessions[i] = session{res: harness.Result{
-				Scenario: draws[i].scenario.Name(), Escalated: true, PlanErrors: 1,
-			}}
-			continue
-		}
-		sessions[i] = tr.Value
-	}
+	sessions, recs := runSessions(cfg.Runner, cfg.Obs, cfg.Workers, cfg.Seed, n,
+		func(i int) (scenarios.Scenario, int64) { return draws[i].scenario, draws[i].seed },
+		func(i int) string { return "fleet/" + draws[i].id })
 
 	// Phase 3 — scheduling.
 	if cfg.Steal {
@@ -194,15 +168,11 @@ func simulateStealing(cfg ShardedConfig, regions []string,
 	})
 	for i := range draws {
 		d := draws[i]
-		var rec *obs.Recorder
-		if recs != nil {
-			rec = recs[i]
-		}
 		// Offers arrive presorted, so each insert is an append.
 		if err := s.Offer(LiveArrival{
 			ID: d.id, At: d.at, Scenario: d.scenario.Name(),
 			Severity: sessions[i].severity, Region: regions[d.region],
-			Result: sessions[i].res, Events: rec,
+			Result: sessions[i].res, Events: recAt(recs, i),
 		}); err != nil {
 			panic("fleet: sharded simulate offer: " + err.Error())
 		}
@@ -250,30 +220,9 @@ func simulateIndependent(cfg ShardedConfig, regions []string,
 
 	if cfg.Obs != nil {
 		runnerName := cfg.Runner.Name()
-		for r := 0; r < R; r++ {
-			eng := engines[r]
-			for j := range eng.outcomes {
-				o := &eng.outcomes[j]
-				i := perRegion[r][j]
-				sess := "fleet/" + draws[i].id
-				if o.Shed {
-					cfg.Obs.Emit(obs.Event{
-						Type: obs.EvFleetShed, At: o.ArrivedAt, Session: sess,
-						Runner: runnerName, Scenario: o.Scenario, Region: o.Region,
-					})
-				} else {
-					if recs != nil {
-						cfg.Obs.Absorb(recs[i])
-					}
-					cfg.Obs.Emit(obs.Event{
-						Type: obs.EvFleetIncident, At: o.ArrivedAt, Session: sess,
-						Runner: runnerName, Scenario: o.Scenario, Region: o.Region,
-						Queue: o.Queue, Resolution: o.Resolution,
-					})
-				}
-				if recs != nil && recs[i] != nil {
-					recs[i].Release()
-				}
+		for r, eng := range engines {
+			for j, i := range perRegion[r] {
+				emitOutcome(cfg.Obs, runnerName, "fleet/", draws[i].id, &eng.outcomes[j], recAt(recs, i))
 			}
 		}
 	}

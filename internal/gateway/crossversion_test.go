@@ -9,17 +9,12 @@ package gateway
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/kb"
-	"repro/internal/obs"
 )
 
 func TestLegacyJournalReplaysIntoShardedScheduler(t *testing.T) {
@@ -64,23 +59,7 @@ func TestLegacyJournalReplaysIntoShardedScheduler(t *testing.T) {
 	}
 
 	// Boot a sharded multi-region gateway over the legacy journal.
-	kbase := kb.Default()
-	kb.ApplyFastpathUpdate(kbase)
-	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	sink := obs.NewSink()
-	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
-		Regions: []string{"default", "eu-west"}, OCEs: 2,
-		Obs: sink, RunnerName: runner.Name(),
-	})
-	clock := NewSimClock()
-	gw := NewServer(Config{
-		Keys:  map[string]string{"k-tenant-a": "tenant-a"},
-		Clock: clock, Sched: sched, Runner: runner, Seed: 7,
-		Sink: sink, SimControl: true, Journal: jr,
-	})
-	ts := httptest.NewServer(gw.Handler())
-	t.Cleanup(ts.Close)
-	st := &testStack{ts: ts, sched: sched, clock: clock, sink: sink}
+	st, gw := newStackWith(t, 2, 0, func(c *Config) { c.Journal = jr }, "default", "eu-west")
 
 	stats, err := gw.Recover(rr)
 	if err != nil {

@@ -12,45 +12,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/scenarios"
 )
-
-// newStackWith is newTestStack with access to the Server and a Config
-// hook for the durability/overload knobs.
-func newStackWith(t *testing.T, oces, queueLimit int, mut func(*Config)) (*testStack, *Server) {
-	t.Helper()
-	kbase := kb.Default()
-	kb.ApplyFastpathUpdate(kbase)
-	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	sink := obs.NewSink()
-	sched := fleet.NewLive(fleet.LiveConfig{
-		OCEs: oces, QueueLimit: queueLimit,
-		Obs: sink, RunnerName: runner.Name(),
-	})
-	clock := NewSimClock()
-	cfg := Config{
-		Keys:  map[string]string{"k-tenant-a": "tenant-a", "k-tenant-b": "tenant-b"},
-		Clock: clock, Sched: sched, Runner: runner, Seed: 7,
-		Sink: sink, SimControl: true,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	gw := NewServer(cfg)
-	ts := httptest.NewServer(gw.Handler())
-	t.Cleanup(ts.Close)
-	return &testStack{ts: ts, sched: sched, clock: clock, sink: sink}, gw
-}
 
 // TestJournalRecoverRoundTrip drives a journaled gateway through
 // creates and patches over HTTP, rebuilds a fresh stack over the same
@@ -160,6 +132,33 @@ func TestJournalRecoverRoundTrip(t *testing.T) {
 	}
 	if sum.Incidents != 3 {
 		t.Fatalf("drained %d incidents, want 3 (resolved incident re-offered?)", sum.Incidents)
+	}
+}
+
+// TestOneRegionDrainRowIsTheTotal: a one-region drain summary carries
+// exactly one regions row, and that row repeats the fleet totals.
+func TestOneRegionDrainRowIsTheTotal(t *testing.T) {
+	t.Parallel()
+	st, _ := newStackWith(t, 1, 1, nil)
+	for i := 0; i < 4; i++ {
+		body := fmt.Sprintf(`{"scenario":"gray-link","opened_at_minutes":%d}`, i)
+		if status, resp := st.do(t, "POST", "/v1/incidents", "k-tenant-a", body); status != http.StatusCreated {
+			t.Fatalf("create %d: HTTP %d: %s", i, status, resp)
+		}
+	}
+	status, body := st.do(t, "POST", "/v1/sim/drain", "k-tenant-a", "")
+	var sum DrainSummary
+	if err := json.Unmarshal([]byte(body), &sum); status != http.StatusOK || err != nil {
+		t.Fatalf("drain: HTTP %d (%v): %s", status, err, body)
+	}
+	if len(sum.Regions) != 1 || sum.Incidents != 4 || sum.Shed == 0 {
+		t.Fatalf("want 4 incidents, some shed, in one region row: %s", body)
+	}
+	row, total := sum.Regions[0], sum
+	total.Regions = nil
+	if row.Region != fleet.DefaultRegion || row.StolenIn != 0 || row.StolenOut != 0 ||
+		!reflect.DeepEqual(row.DrainSummary, total) {
+		t.Fatalf("region row %+v differs from totals %+v", row, total)
 	}
 }
 
@@ -315,7 +314,7 @@ func TestSSEWriteTimeoutExemptAndShutdown(t *testing.T) {
 	t.Parallel()
 	runner := instantRunner{}
 	sink := obs.NewSink()
-	sched := fleet.NewLive(fleet.LiveConfig{OCEs: 1, Obs: sink, RunnerName: runner.Name()})
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{OCEs: 1, Obs: sink, RunnerName: runner.Name()})
 	clock := NewSimClock()
 	gw := NewServer(Config{
 		Keys:  map[string]string{"k-tenant-a": "tenant-a"},

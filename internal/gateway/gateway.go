@@ -109,10 +109,11 @@ type Config struct {
 	Keys map[string]string
 	// Clock is the simulated-time source (see clock.go).
 	Clock Clock
-	// Sched is the fleet scheduler arrivals feed into: a single-cell
-	// *fleet.LiveScheduler or a multi-region *fleet.ShardedScheduler.
-	// The gateway validates POST regions against Sched.Regions() and
-	// renders the sharded drain summary when the scheduler is sharded.
+	// Sched is the fleet scheduler arrivals feed into: a
+	// *fleet.ShardedScheduler over one or more regions (or a wrapper
+	// around one). The gateway validates POST regions against
+	// Sched.Regions() and renders the per-region drain summary from
+	// Sched.DrainSharded().
 	Sched fleet.Scheduler
 	// Runner executes each admitted incident's responder session, in
 	// the submitting handler's goroutine.
@@ -200,9 +201,9 @@ type DrainSummary struct {
 	PeakQueueDepth       int     `json:"peak_queue_depth"`
 	DrainMinutes         float64 `json:"drain_minutes"`
 
-	// Sharded-scheduler extras: total cross-region steals and the
-	// per-region breakdown, in sorted region order. Absent (omitted)
-	// on a single-cell scheduler.
+	// Total cross-region steals (omitted when zero) and the per-region
+	// breakdown, in sorted region order; one region's row repeats the
+	// totals. Absent on the region rows themselves.
 	Stolen  int                  `json:"stolen,omitempty"`
 	Regions []RegionDrainSummary `json:"regions,omitempty"`
 }
@@ -866,14 +867,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, _ string)
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, _ string) {
-	// A sharded scheduler drains with the per-region breakdown; the
-	// single-cell path keeps its flat summary.
-	var sum DrainSummary
-	if sh, ok := s.cfg.Sched.(interface{ DrainSharded() *fleet.ShardedReport }); ok {
-		sum = NewShardedDrainSummary(sh.DrainSharded())
-	} else {
-		sum = NewDrainSummary(s.cfg.Sched.Drain())
-	}
+	sum := NewShardedDrainSummary(s.cfg.Sched.DrainSharded())
 	if ac, ok := s.cfg.Clock.(AdvanceClock); ok {
 		ac.AdvanceTo(s.cfg.Sched.Watermark())
 	}

@@ -34,24 +34,44 @@ type testStack struct {
 
 func newTestStack(t *testing.T, oces, queueLimit int) *testStack {
 	t.Helper()
+	st, _ := newStackWith(t, oces, queueLimit, nil, "default", "eu-west")
+	return st
+}
+
+// newStackWith is newTestStack with access to the Server, a Config hook
+// for the durability/overload knobs, and the region set (none: the
+// single default region).
+func newStackWith(t *testing.T, oces, queueLimit int, mut func(*Config), regions ...string) (*testStack, *Server) {
+	t.Helper()
 	kbase := kb.Default()
 	kb.ApplyFastpathUpdate(kbase)
 	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
 	sink := obs.NewSink()
 	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
-		Regions: []string{"default", "eu-west"},
-		OCEs:    oces, QueueLimit: queueLimit,
+		Regions: regions, OCEs: oces, QueueLimit: queueLimit,
 		Obs: sink, RunnerName: runner.Name(),
 	})
 	clock := NewSimClock()
-	gw := NewServer(Config{
+	cfg := Config{
 		Keys:  map[string]string{"k-tenant-a": "tenant-a", "k-tenant-b": "tenant-b"},
 		Clock: clock, Sched: sched, Runner: runner, Seed: 7,
 		Sink: sink, SimControl: true,
-	})
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	gw := NewServer(cfg)
 	ts := httptest.NewServer(gw.Handler())
 	t.Cleanup(ts.Close)
-	return &testStack{ts: ts, sched: sched, clock: clock, sink: sink}
+	return &testStack{ts: ts, sched: sched, clock: clock, sink: sink}, gw
+}
+
+// wallMode is a newStackWith hook for a wall-clock service with no sim
+// endpoints, keyed "k".
+func wallMode(c Clock) func(*Config) {
+	return func(cfg *Config) {
+		cfg.Clock, cfg.SimControl, cfg.Keys = c, false, map[string]string{"k": "tester"}
+	}
 }
 
 // do sends one request and returns (status, body).
@@ -345,19 +365,9 @@ func TestSSEEventStream(t *testing.T) {
 // incident progresses to resolution without any explicit advance.
 func TestWallClockModeProgresses(t *testing.T) {
 	t.Parallel()
-	kbase := kb.Default()
-	kb.ApplyFastpathUpdate(kbase)
-	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	sched := fleet.NewLive(fleet.LiveConfig{OCEs: 1, RunnerName: runner.Name()})
 	// An aggressive scale (1 wall ms ≈ 1.4 simulated hours) so the
 	// incident resolves within a few real milliseconds.
-	gw := NewServer(Config{
-		Keys:  map[string]string{"k": "tester"},
-		Clock: NewWallClock(5000 * time.Minute), Sched: sched, Runner: runner, Seed: 7,
-	})
-	ts := httptest.NewServer(gw.Handler())
-	defer ts.Close()
-	st := &testStack{ts: ts}
+	st, _ := newStackWith(t, 1, 0, wallMode(NewWallClock(5000*time.Minute)))
 	status, body := st.do(t, "POST", "/v1/incidents", "k", `{"id":"w-1","scenario":"gray-link"}`)
 	if status != http.StatusCreated {
 		t.Fatalf("create: HTTP %d: %s", status, body)
@@ -381,17 +391,7 @@ func TestWallClockModeProgresses(t *testing.T) {
 // expose the deterministic-harness surface.
 func TestSimEndpointsGated(t *testing.T) {
 	t.Parallel()
-	kbase := kb.Default()
-	kb.ApplyFastpathUpdate(kbase)
-	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	sched := fleet.NewLive(fleet.LiveConfig{OCEs: 1, RunnerName: runner.Name()})
-	gw := NewServer(Config{
-		Keys:  map[string]string{"k": "tester"},
-		Clock: NewWallClock(0), Sched: sched, Runner: runner, Seed: 7,
-	})
-	ts := httptest.NewServer(gw.Handler())
-	defer ts.Close()
-	st := &testStack{ts: ts}
+	st, _ := newStackWith(t, 1, 0, wallMode(NewWallClock(0)))
 	if status, _ := st.do(t, "POST", "/v1/sim/advance", "k", `{"minutes":1}`); status != http.StatusNotFound {
 		t.Fatalf("sim advance exposed in wall mode: HTTP %d", status)
 	}

@@ -8,16 +8,11 @@ package gateway
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/harness"
-	"repro/internal/kb"
 	"repro/internal/lake"
-	"repro/internal/obs"
 )
 
 // newLakeStack is newTestStack plus a data lake in a temp directory.
@@ -29,22 +24,10 @@ func newLakeStack(t *testing.T) (*testStack, *lake.Lake, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dl.Close() })
-	kbase := kb.Default()
-	kb.ApplyFastpathUpdate(kbase)
-	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	sink := obs.NewSink()
-	sched := fleet.NewLive(fleet.LiveConfig{
-		OCEs: 2, QueueLimit: 8, Obs: sink, RunnerName: runner.Name(),
+	st, _ := newStackWith(t, 2, 8, func(c *Config) {
+		c.Keys, c.Lake = map[string]string{"k": "tenant"}, dl
 	})
-	clock := NewSimClock()
-	gw := NewServer(Config{
-		Keys:  map[string]string{"k": "tenant"},
-		Clock: clock, Sched: sched, Runner: runner, Seed: 7,
-		Sink: sink, SimControl: true, Lake: dl,
-	})
-	ts := httptest.NewServer(gw.Handler())
-	t.Cleanup(ts.Close)
-	return &testStack{ts: ts, sched: sched, clock: clock, sink: sink}, dl, dir
+	return st, dl, dir
 }
 
 func TestLakeIngestOnCreate(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/eval"
 	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/incident"
 	"repro/internal/kb"
@@ -36,7 +37,6 @@ import (
 	"repro/internal/mitigation"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/ops"
 	"repro/internal/replayer"
 	"repro/internal/scenarios"
 )
@@ -121,7 +121,7 @@ type System struct {
 	window        int
 	generic       bool // use the generic embedder instead of the domain one
 	seed          int64
-	workers       int // parallel trial workers for ABTest/Replay (<= 0: GOMAXPROCS)
+	workers       int // parallel trial workers for ABTest/Replay/Fleet (<= 0: GOMAXPROCS)
 	faultCfg      faults.Config
 	sink          *obs.Sink
 }
@@ -376,25 +376,28 @@ func (s *System) runSession(in *Instance, seed int64) (Result, *core.Outcome) {
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // FleetReport re-exports the fleet-level operations report.
-type FleetReport = ops.Report
+type FleetReport = fleet.Report
 
 // Fleet simulates incident operations at fleet scale: n incidents arrive
 // as a Poisson process at the given hourly rate over a pool of
 // responders, each handled by this system's helper. Compare with
 // FleetUnassisted to see queueing amplification (experiment E10).
 func (s *System) Fleet(oces int, arrivalsPerHour float64, n int, seed int64) *FleetReport {
-	return ops.Simulate(ops.Config{
-		OCEs: oces, ArrivalsPerHour: arrivalsPerHour, Incidents: n, Seed: seed,
-		Runner: s.Runner(RunnerHelper), Obs: s.sink,
-	})
+	return s.runFleet(RunnerHelper, oces, arrivalsPerHour, n, seed)
 }
 
 // FleetUnassisted is Fleet with the helper-free control OCE pool.
 func (s *System) FleetUnassisted(oces int, arrivalsPerHour float64, n int, seed int64) *FleetReport {
-	return ops.Simulate(ops.Config{
+	return s.runFleet(RunnerControl, oces, arrivalsPerHour, n, seed)
+}
+
+// runFleet runs one FIFO, unbounded-queue, single-region fleet with the
+// named arm on this system's workers and sink.
+func (s *System) runFleet(arm RunnerKind, oces int, arrivalsPerHour float64, n int, seed int64) *FleetReport {
+	return fleet.SimulateSharded(fleet.ShardedConfig{
 		OCEs: oces, ArrivalsPerHour: arrivalsPerHour, Incidents: n, Seed: seed,
-		Runner: s.Runner(RunnerControl), Obs: s.sink,
-	})
+		Runner: s.Runner(arm), Workers: s.workers, Policy: fleet.FIFO, Obs: s.sink,
+	}).Total
 }
 
 // SaveHistory writes the incident history as JSON.

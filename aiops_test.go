@@ -2,6 +2,7 @@ package aiops
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,8 +117,19 @@ func TestSystemFleet(t *testing.T) {
 	sys := New(WithSeed(8))
 	a := sys.Fleet(2, 4, 30, 8)
 	c := sys.FleetUnassisted(2, 4, 30, 8)
-	if a.MeanTotal >= c.MeanTotal {
-		t.Fatalf("assisted fleet not faster: %v vs %v", a.MeanTotal, c.MeanTotal)
+	if a.MeanResolution >= c.MeanResolution {
+		t.Fatalf("assisted fleet not faster: %v vs %v", a.MeanResolution, c.MeanResolution)
+	}
+}
+
+// TestSystemFleetHonoursWorkers: WithWorkers bounds the fleet's session
+// pool and, like every worker count, never changes the report.
+func TestSystemFleetHonoursWorkers(t *testing.T) {
+	t.Parallel()
+	one := New(WithSeed(8), WithWorkers(1)).Fleet(2, 4, 30, 8)
+	eight := New(WithSeed(8), WithWorkers(8)).Fleet(2, 4, 30, 8)
+	if !reflect.DeepEqual(one, eight) {
+		t.Fatal("fleet report differs between WithWorkers(1) and WithWorkers(8)")
 	}
 }
 

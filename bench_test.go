@@ -339,14 +339,14 @@ func (benchFlatRunner) Run(in *scenarios.Instance, seed int64) harness.Result {
 }
 
 func BenchmarkFleetSchedule(b *testing.B) {
-	cfg := fleet.Config{
+	cfg := fleet.ShardedConfig{
 		OCEs: 3, ArrivalsPerHour: 8, Incidents: 256, QueueLimit: 8,
 		Mix: []scenarios.Scenario{benchFlatScenario{}}, Runner: benchFlatRunner{},
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if rep := fleet.Simulate(cfg); rep.Admitted+rep.Shed != 256 {
+		if rep := fleet.SimulateSharded(cfg).Total; rep.Admitted+rep.Shed != 256 {
 			b.Fatal("fleet lost arrivals")
 		}
 	}

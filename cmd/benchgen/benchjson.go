@@ -3,8 +3,8 @@ package main
 // The -bench-json mode runs the repository's benchmark set in-process —
 // every registered experiment's tables at the bench_test.go cell size
 // plus the substrate micro-kernels (routing, cloning, embeddings,
-// search, LLM, risk, whole sessions, the single-cell and sharded fleet
-// schedulers) — and writes one JSON record per benchmark:
+// search, LLM, risk, whole sessions, the one-region and multi-region
+// fleet schedules) — and writes one JSON record per benchmark:
 // {name, ns/op, allocs/op, headline}. Committed snapshots
 // (BENCH_<date>.json at the repo root) give the performance trajectory a
 // baseline that `go test -bench` output alone never leaves behind.
@@ -233,10 +233,10 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 		return "one unassisted control session on gray-link"
 	})
 	add("FleetSchedule", 20, func(i int) string {
-		rep := fleet.Simulate(fleet.Config{
+		rep := fleet.SimulateSharded(fleet.ShardedConfig{
 			OCEs: 3, ArrivalsPerHour: 8, Incidents: 256, QueueLimit: 8,
 			Seed: int64(i), Mix: []scenarios.Scenario{flatScenario{}}, Runner: flatRunner{},
-		})
+		}).Total
 		if rep.Admitted+rep.Shed != 256 {
 			panic("bench-json: fleet lost arrivals")
 		}
@@ -255,11 +255,11 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 		return "4096 flat-TTM arrivals across 4 regions with batched dispatch + work stealing"
 	})
 	add("FleetHelperSessions", 2, func(i int) string {
-		rep := fleet.Simulate(fleet.Config{
+		rep := fleet.SimulateSharded(fleet.ShardedConfig{
 			OCEs: 2, ArrivalsPerHour: 6, Incidents: 24, QueueLimit: 8,
 			Seed: int64(i), Runner: helper,
 		})
-		if len(rep.Outcomes) != 24 {
+		if len(rep.Total.Outcomes) != 24 {
 			panic("bench-json: fleet lost arrivals")
 		}
 		return "24-incident fleet with real helper sessions (E14 cell shape)"

@@ -83,41 +83,33 @@ func fleetMain(args []string) {
 		os.Exit(2)
 	}
 
-	// Multi-region (or explicit stealing): the sharded scheduler, one
-	// summary table per arm with per-region rows plus the fleet total.
-	if len(regionList) > 1 || *steal {
-		for _, r := range runners {
-			// Same seed per arm: every arm faces the identical arrival
-			// tape, so tables differ only by what the responders do.
-			rep := fleet.SimulateSharded(fleet.ShardedConfig{
-				Regions: regionList, OCEs: *oces, ArrivalsPerHour: *rate, Incidents: *n,
-				Runner: r, Seed: c.Seed, Workers: c.Workers,
-				Policy: policy, QueueLimit: *queue, AgingStep: *aging,
-				Steal: *steal, Storm: scenarios.StormConfig{Correlation: *storm, MaxFanout: 3, Window: 15 * time.Minute},
-				Obs: c.Sink(),
-			})
-			fmt.Println(fleet.ShardedSummaryTable(fmt.Sprintf(
-				"fleet %s: %d regions, %d OCEs/region, %.3g arrivals/h/region, %d incidents, queue bound %d, steal %v, storm %.2g",
-				r.Name(), len(regionList), *oces, *rate, *n, *queue, *steal, *storm), rep))
-		}
-		c.MustExport()
-		return
-	}
-
+	// One simulation per arm; a single region without stealing is the
+	// one-cell fleet and renders as one row per arm, anything else as a
+	// per-region table per arm with the fleet total.
+	sharded := len(regionList) > 1 || *steal
 	var arms []fleet.Arm
 	for _, r := range runners {
 		// Same seed per arm: every arm faces the identical arrival tape,
 		// so rows differ only by what the responders do with it.
-		arms = append(arms, fleet.Arm{Name: r.Name(), Report: fleet.Simulate(fleet.Config{
-			OCEs: *oces, ArrivalsPerHour: *rate, Incidents: *n,
+		rep := fleet.SimulateSharded(fleet.ShardedConfig{
+			Regions: regionList, OCEs: *oces, ArrivalsPerHour: *rate, Incidents: *n,
 			Runner: r, Seed: c.Seed, Workers: c.Workers,
 			Policy: policy, QueueLimit: *queue, AgingStep: *aging,
+			Steal: *steal, Storm: scenarios.StormConfig{Correlation: *storm, MaxFanout: 3, Window: 15 * time.Minute},
 			Obs: c.Sink(),
-		})})
+		})
+		if sharded {
+			fmt.Println(fleet.ShardedSummaryTable(fmt.Sprintf(
+				"fleet %s: %d regions, %d OCEs/region, %.3g arrivals/h/region, %d incidents, queue bound %d, steal %v, storm %.2g",
+				r.Name(), len(regionList), *oces, *rate, *n, *queue, *steal, *storm), rep))
+			continue
+		}
+		arms = append(arms, fleet.Arm{Name: r.Name(), Report: rep.Total})
 	}
-	title := fmt.Sprintf("fleet: %d OCEs, %.3g arrivals/h, %d incidents, queue bound %d",
-		*oces, *rate, *n, *queue)
-	fmt.Println(fleet.SummaryTable(title, arms))
+	if !sharded {
+		fmt.Println(fleet.SummaryTable(fmt.Sprintf("fleet: %d OCEs, %.3g arrivals/h, %d incidents, queue bound %d",
+			*oces, *rate, *n, *queue), arms))
+	}
 	c.MustExport()
 }
 

@@ -40,8 +40,8 @@ const e14KneeP99 = 8 * time.Hour
 
 // e14Config is the fleet every cell runs: a small pool with a tight
 // admission bound, so the ladder actually reaches the knee.
-func e14Config(rate float64, p Params, r harness.Runner) fleet.Config {
-	return fleet.Config{
+func e14Config(rate float64, p Params, r harness.Runner) fleet.ShardedConfig {
+	return fleet.ShardedConfig{
 		OCEs: 2, ArrivalsPerHour: rate, Incidents: p.Trials * 4,
 		QueueLimit: 8,
 		Runner:     r,
@@ -87,7 +87,7 @@ func E14OfferedLoad(p Params) []*eval.Table {
 	reports := make(map[string][]*fleet.Report, len(arms))
 	for _, rate := range e14Rates {
 		for _, arm := range arms {
-			rep := fleet.Simulate(e14Config(rate, p, arm))
+			rep := fleet.SimulateSharded(e14Config(rate, p, arm)).Total
 			reports[arm.Name()] = append(reports[arm.Name()], rep)
 			ladder.AddRow(rate, arm.Name(), fmt.Sprintf("%d/%d", rep.Shed, len(rep.Outcomes)),
 				rep.MeanQueue.Minutes(), rep.P50Resolution.Minutes(), rep.P99Resolution.Minutes(),

@@ -25,7 +25,7 @@ func TestE14DeterministicAcrossWorkers(t *testing.T) {
 func kneeFor(r harness.Runner, p Params) float64 {
 	var reps []*fleet.Report
 	for _, rate := range e14Rates {
-		reps = append(reps, fleet.Simulate(e14Config(rate, p, r)))
+		reps = append(reps, fleet.SimulateSharded(e14Config(rate, p, r)).Total)
 	}
 	rate, _ := E14Knee(reps)
 	return rate

@@ -1,13 +1,14 @@
 package experiments
 
 // E15 — gateway load ladder over live HTTP (extension): E14 measures
-// the fleet scheduler's saturation knee by calling fleet.Simulate
-// directly; E15 measures the same knee end-to-end through the service
-// surface. Each cell boots a real gateway (internal/gateway, the same
-// stack cmd/aiopsd serves) on a loopback TCP socket with a simulated
-// clock, drives it with a pool of synthetic HTTP clients (reusing
-// internal/parallel as the client pool), then drains the scheduler over
-// the socket and reads the ladder row out of the drain summary JSON.
+// the fleet scheduler's saturation knee by calling
+// fleet.SimulateSharded directly; E15 measures the same knee
+// end-to-end through the service surface. Each cell boots a real
+// gateway (internal/gateway, the same stack cmd/aiopsd serves) on a
+// loopback TCP socket with a simulated clock, drives it with a pool of
+// synthetic HTTP clients (reusing internal/parallel as the client
+// pool), then drains the scheduler over the socket and reads the
+// ladder row out of the drain summary JSON.
 //
 // The ladder exercises every live-mode moving part at once: API-key
 // auth, strict JSON decoding, scenario normalization, sessions running
@@ -54,9 +55,10 @@ type e15Arrival struct {
 }
 
 // e15Tape pre-draws the arrival tape serially from the seed — Poisson
-// gaps and scenario draws exactly like fleet.Simulate's phase 1. The
-// tape (not submission order) is what determines the schedule: every
-// arrival carries its simulated timestamp and ID in the payload.
+// gaps and uniform scenario draws, as in a one-region
+// fleet.SimulateSharded's phase 1. The tape (not submission order) is
+// what determines the schedule: every arrival carries its simulated
+// timestamp and ID in the payload.
 func e15Tape(rate float64, n int, seed int64) []e15Arrival {
 	rng := rand.New(rand.NewSource(seed))
 	mix := scenarios.All()
@@ -160,7 +162,7 @@ func e15Post(client *http.Client, url string, body []byte, want int, out any) er
 
 // E15GatewayLoad sweeps offered load through the live gateway and
 // tabulates the same ladder and knee as E14 — measured through a real
-// socket instead of a direct Simulate call.
+// socket instead of a direct SimulateSharded call.
 func E15GatewayLoad(p Params) []*eval.Table {
 	p = p.withDefaults()
 	kbase := currentKB()

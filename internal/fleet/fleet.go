@@ -4,7 +4,7 @@
 // severity-classed priority queues with aging decide who a freed
 // responder helps next, and a finite responder pool executes the actual
 // helper sessions concurrently on the parallel trial pool — while the
-// simulation itself stays a serial discrete-event loop on the simulated
+// scheduling itself stays a serial discrete-event loop on the simulated
 // clock, so every report, event log and metric dump is byte-identical
 // at any worker count.
 //
@@ -16,38 +16,26 @@
 // runs hot (experiments E10 and E14). The hyperscale agentic-AI
 // literature frames the same gap between per-incident agents and fleet
 // operations — admission control, backpressure and graceful drain are
-// what turn a per-incident helper into an operable system.
+// what turn a per-incident helper into an operable system — and treats
+// a single cell as a one-region fleet, as this package does.
 //
+// There are two front ends over one engine (live.go): SimulateSharded
+// (shardsim.go) pre-draws a whole arrival tape and runs it to drain;
+// the ShardedScheduler (shard.go) accepts arrivals one at a time from
+// a live service. Both default to the single region DefaultRegion.
 // Determinism is the core contract, shared with internal/parallel,
-// internal/faults and internal/obs. The simulation runs in three
-// phases:
-//
-//  1. Arrivals are pre-drawn serially from the config seed: arrival
-//     time, scenario, and session seed for arrival i are a pure
-//     function of (seed, i) — never of worker count or scheduling.
-//  2. Sessions execute speculatively on the parallel pool: each is a
-//     self-contained trial keyed by its arrival index, buffering its
-//     events in a private recorder. (Sessions for arrivals the
-//     admission controller later sheds are discarded — speculation
-//     wastes a little compute to keep the phase embarrassingly
-//     parallel.)
-//  3. The discrete-event loop replays arrivals against the responder
-//     pool serially: admission, queueing, aging, dispatch and drain
-//     are pure functions of the pre-drawn arrivals and the session
-//     TTMs, so the schedule is identical at workers=1 and workers=N.
+// internal/faults and internal/obs: see shardsim.go for the three
+// phases that keep a simulation worker-count-independent.
 package fleet
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/eval"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/scenarios"
 )
 
 // Policy selects the dispatch discipline.
@@ -59,66 +47,11 @@ const (
 	// AgingStep waited, ties broken by arrival order. Aging prevents
 	// starvation of low-severity incidents under sustained load.
 	SeverityAging Policy = iota
-	// FIFO dispatches in strict arrival order — the legacy internal/ops
-	// discipline, kept for byte-compatible replays of the old simulator.
+	// FIFO dispatches in strict arrival order with no severity
+	// classes: the plain queueing model experiment E10 and the aiops
+	// facade's Fleet run.
 	FIFO
 )
-
-// Config parameterizes a fleet simulation. The zero value of the
-// admission and aging knobs reproduces the legacy serial simulator:
-// unbounded queue, no shedding.
-type Config struct {
-	// OCEs is the responder pool size (default 3).
-	OCEs int
-	// ArrivalsPerHour is the mean incident arrival rate (default 2).
-	ArrivalsPerHour float64
-	// Incidents is how many arrivals to simulate (default 100).
-	Incidents int
-	// Mix is the scenario mix (default scenarios.All()).
-	Mix []scenarios.Scenario
-	// Runner handles each admitted incident.
-	Runner harness.Runner
-	// Seed drives the arrival process and the per-incident session
-	// seeds; everything downstream is a pure function of it.
-	Seed int64
-	// Workers bounds the parallel session executors (<= 0: one per
-	// CPU). Worker count never changes a single output byte — only
-	// wall-clock time.
-	Workers int
-	// Policy selects the dispatch discipline (default SeverityAging).
-	Policy Policy
-	// QueueLimit bounds the waiting queue: when an arrival finds
-	// QueueLimit incidents already waiting, admission control sheds it
-	// straight to escalation. 0 means unbounded (never shed).
-	QueueLimit int
-	// AgingStep is the waiting time that promotes a queued incident by
-	// one severity class under SeverityAging (default 30 minutes;
-	// negative disables aging, leaving pure severity priority).
-	AgingStep time.Duration
-	// Obs, when non-nil, collects every admitted session's event
-	// stream (absorbed in arrival order), the fleet-level arrival and
-	// shed events, and the saturation gauges.
-	Obs *obs.Sink
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.OCEs <= 0 {
-		cfg.OCEs = 3
-	}
-	if cfg.ArrivalsPerHour <= 0 {
-		cfg.ArrivalsPerHour = 2
-	}
-	if cfg.Incidents <= 0 {
-		cfg.Incidents = 100
-	}
-	if len(cfg.Mix) == 0 {
-		cfg.Mix = scenarios.All()
-	}
-	if cfg.AgingStep == 0 {
-		cfg.AgingStep = 30 * time.Minute
-	}
-	return cfg
-}
 
 // Outcome is one arrival's fleet-level record, in arrival order.
 type Outcome struct {
@@ -128,8 +61,8 @@ type Outcome struct {
 	Scenario string
 	// Severity is the incident's severity class (0..3; 3 most severe).
 	Severity int
-	// Region is the fleet region the incident is homed in (sharded
-	// scheduler only; empty on the flat single-cell paths).
+	// Region is the fleet region the incident is homed in
+	// (DefaultRegion unless the fleet names its regions).
 	Region string
 	// Shed marks an arrival the admission controller refused: it never
 	// occupied a responder and went straight to escalation.
@@ -184,13 +117,6 @@ type Report struct {
 	Drain time.Duration
 }
 
-// arrival is one pre-drawn arrival: a pure function of (seed, index).
-type arrival struct {
-	at       time.Duration
-	scenario scenarios.Scenario
-	seed     int64
-}
-
 // session is one speculatively executed incident session.
 type session struct {
 	res      harness.Result
@@ -198,112 +124,6 @@ type session struct {
 }
 
 const never = time.Duration(math.MaxInt64)
-
-// Simulate runs the fleet model. See the package comment for the
-// three-phase structure that keeps it worker-count-independent.
-func Simulate(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	n := cfg.Incidents
-
-	// Phase 1 — serial arrival pre-draw. The draw order per arrival
-	// (gap, scenario, session seed) matches the legacy serial simulator
-	// call for call, so seeds are byte-compatible with it.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	arrivals := make([]arrival, n)
-	var now time.Duration
-	for i := 0; i < n; i++ {
-		now += time.Duration(rng.ExpFloat64() / cfg.ArrivalsPerHour * float64(time.Hour))
-		arrivals[i] = arrival{
-			at:       now,
-			scenario: cfg.Mix[rng.Intn(len(cfg.Mix))],
-			seed:     rng.Int63(),
-		}
-	}
-
-	// Phase 2 — speculative parallel session execution.
-	sessions, recs := runSessions(cfg.Runner, cfg.Obs, cfg.Workers, cfg.Seed, n,
-		func(i int) (scenarios.Scenario, int64) { return arrivals[i].scenario, arrivals[i].seed },
-		func(i int) string { return fmt.Sprintf("fleet/%04d", i) })
-
-	// Phase 3 — serial discrete-event scheduling, on the same engine the
-	// ShardedScheduler feeds one arrival at a time (see live.go). Arrivals
-	// enter in arrival order; the engine interleaves completions exactly
-	// as the historical in-line loop did.
-	eng := newEngine(cfg.OCEs, cfg.Policy, cfg.QueueLimit, cfg.AgingStep)
-	for idx := 0; idx < n; idx++ {
-		eng.add(Outcome{
-			Index: idx, Scenario: arrivals[idx].scenario.Name(),
-			Severity: sessions[idx].severity, ArrivedAt: arrivals[idx].at,
-			Result: sessions[idx].res,
-		}, sessions[idx])
-		eng.arrive(idx)
-	}
-	eng.completeUntil(never) // all arrivals in, run the pool idle: drained
-	rep := eng.report(cfg.OCEs, cfg.Obs, nil)
-
-	// Observability: per-arrival session streams absorb in arrival
-	// order, each followed by its fleet-level event, so the merged log
-	// is worker-count-independent.
-	if cfg.Obs != nil {
-		runnerName := cfg.Runner.Name()
-		for i := range rep.Outcomes {
-			emitOutcome(cfg.Obs, runnerName, "fleet/", fmt.Sprintf("%04d", i), &rep.Outcomes[i], recAt(recs, i))
-		}
-	}
-
-	return rep
-}
-
-// runSessions is phase 2 of both simulators: every pre-drawn arrival's
-// session executes speculatively on the parallel trial pool. Each trial
-// is self-contained: it builds its own world from the seed draw(i)
-// returns and buffers events privately, in a recorder labelled label(i)
-// when sink is set and the runner is observed (recs is nil otherwise).
-// The trial pool's own derived seeds are ignored. Sessions for arrivals
-// the admission controller later sheds are discarded — speculation
-// wastes a little compute to keep the phase embarrassingly parallel.
-func runSessions(runner harness.Runner, sink *obs.Sink, workers int, seed int64, n int,
-	draw func(i int) (scenarios.Scenario, int64), label func(i int) string) (sessions []session, recs []*obs.Recorder) {
-	or, observed := runner.(harness.ObservedRunner)
-	if sink != nil && observed {
-		recs = make([]*obs.Recorder, n)
-	}
-	trials := parallel.RunTrials(n, workers, seed, func(_ int64, i int) session {
-		sc, s := draw(i)
-		in := sc.Build(rand.New(rand.NewSource(s)))
-		sev := in.Incident.Severity
-		var res harness.Result
-		if recs != nil {
-			rec := obs.AcquireRecorder(label(i))
-			recs[i] = rec
-			res = or.RunObserved(in, s, rec)
-		} else {
-			res = runner.Run(in, s)
-		}
-		return session{res: res, severity: sev}
-	})
-	sessions = make([]session, n)
-	for i, tr := range trials {
-		if tr.Err != nil {
-			// A crashed session becomes a specialist hand-off, exactly
-			// as harness.PoolResult treats pooled trials.
-			sc, _ := draw(i)
-			sessions[i] = session{res: harness.Result{Scenario: sc.Name(), Escalated: true, PlanErrors: 1}}
-			continue
-		}
-		sessions[i] = tr.Value
-	}
-	return sessions, recs
-}
-
-// recAt returns arrival i's recorder, or nil when sessions ran
-// unrecorded.
-func recAt(recs []*obs.Recorder, i int) *obs.Recorder {
-	if recs == nil {
-		return nil
-	}
-	return recs[i]
-}
 
 // emitOutcome is the one place a fleet outcome reaches observability.
 // An admitted arrival absorbs its buffered session stream, then emits
@@ -332,8 +152,8 @@ func emitOutcome(sink *obs.Sink, runner, prefix, id string, o *Outcome, rec *obs
 }
 
 // aggregate fills the report's summary statistics and saturation gauges.
-// labels scopes the gauges (nil for the flat single-cell paths; a region
-// label for per-region reports from the sharded scheduler).
+// labels scopes the gauges (a region label for per-region reports; nil
+// for the fleet total).
 func aggregate(rep *Report, oces int, sink *obs.Sink, busySum, makespan time.Duration, mitigated int, labels obs.Labels) {
 	n := len(rep.Outcomes)
 	if n == 0 {

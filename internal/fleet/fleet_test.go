@@ -51,10 +51,10 @@ func (r *fixedRunner) Run(in *scenarios.Instance, seed int64) harness.Result {
 // exactly the escalation penalty.
 func TestResolutionAccountingExact(t *testing.T) {
 	t.Parallel()
-	rep := Simulate(Config{
+	rep := SimulateSharded(ShardedConfig{
 		OCEs: 2, ArrivalsPerHour: 6, Incidents: 120, Seed: 7, QueueLimit: 4,
 		Runner: &harness.ControlRunner{KBase: currentKB()},
-	})
+	}).Total
 	for _, o := range rep.Outcomes {
 		if o.Shed {
 			if o.Resolution != harness.EscalationPenalty {
@@ -85,12 +85,12 @@ func TestResolutionAccountingExact(t *testing.T) {
 func TestNoLostNoDuplicateUnderBackpressureAndDrain(t *testing.T) {
 	t.Parallel()
 	const n = 400
-	rep := Simulate(Config{
+	rep := SimulateSharded(ShardedConfig{
 		OCEs: 3, ArrivalsPerHour: 12, Incidents: n, Seed: 11, QueueLimit: 5,
 		Workers: 8,
 		Runner:  &fixedRunner{ttm: 45 * time.Minute},
 		Mix:     []scenarios.Scenario{&fixedScenario{name: "flat", sev: 1}},
-	})
+	}).Total
 	if len(rep.Outcomes) != n {
 		t.Fatalf("outcomes = %d, want %d", len(rep.Outcomes), n)
 	}
@@ -135,11 +135,11 @@ func TestShedRateMonotoneInOfferedLoad(t *testing.T) {
 	t.Parallel()
 	prev := -1.0
 	for _, rate := range []float64{0.5, 2, 4, 8, 16} {
-		rep := Simulate(Config{
+		rep := SimulateSharded(ShardedConfig{
 			OCEs: 2, ArrivalsPerHour: rate, Incidents: 200, Seed: 5, QueueLimit: 4,
 			Runner: &fixedRunner{ttm: 60 * time.Minute},
 			Mix:    []scenarios.Scenario{&fixedScenario{name: "flat", sev: 1}},
-		})
+		}).Total
 		if rep.ShedRate < prev {
 			t.Fatalf("shed rate fell from %v to %v at rate %v/h", prev, rep.ShedRate, rate)
 		}
@@ -162,12 +162,12 @@ func TestSeverityPriorityAndAging(t *testing.T) {
 		&fixedScenario{name: "severe", sev: 3},
 	}
 	run := func(aging time.Duration) *Report {
-		return Simulate(Config{
+		return SimulateSharded(ShardedConfig{
 			OCEs: 2, ArrivalsPerHour: 4, Incidents: 300, Seed: 9,
 			AgingStep: aging,
 			Runner:    &fixedRunner{ttm: 50 * time.Minute},
 			Mix:       mix,
-		})
+		}).Total
 	}
 	queueStats := func(rep *Report) (sevMean, routMean, routMax time.Duration) {
 		var sevSum, routSum time.Duration
@@ -204,12 +204,12 @@ func TestSeverityPriorityAndAging(t *testing.T) {
 func renderAll(t *testing.T, workers int) string {
 	t.Helper()
 	sink := obs.NewSink()
-	rep := Simulate(Config{
+	rep := SimulateSharded(ShardedConfig{
 		OCEs: 2, ArrivalsPerHour: 5, Incidents: 30, Seed: 21, QueueLimit: 3,
 		Workers: workers,
 		Runner:  &harness.HelperRunner{KBase: currentKB(), Config: core.DefaultConfig()},
 		Obs:     sink,
-	})
+	}).Total
 	var b strings.Builder
 	for _, o := range rep.Outcomes {
 		fmt.Fprintf(&b, "%d %s sev%d shed=%v arr=%v start=%v q=%v h=%v res=%v resp=%d\n",
@@ -250,16 +250,16 @@ func TestWorkerByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFIFOMatchesLegacySemantics: with the legacy discipline the k-th
-// arrival starts at max(arrival, k-th free slot) — queue waits are FIFO
-// and never reorder across arrivals.
+// TestFIFOMatchesLegacySemantics: under FIFO the k-th arrival starts
+// at max(arrival, k-th free slot) — queue waits are FIFO and never
+// reorder across arrivals.
 func TestFIFOMatchesLegacySemantics(t *testing.T) {
 	t.Parallel()
-	rep := Simulate(Config{
+	rep := SimulateSharded(ShardedConfig{
 		OCEs: 2, ArrivalsPerHour: 6, Incidents: 80, Seed: 3, Policy: FIFO,
 		Runner: &fixedRunner{ttm: 40 * time.Minute},
 		Mix:    []scenarios.Scenario{&fixedScenario{name: "flat", sev: 2}},
-	})
+	}).Total
 	for i := 1; i < len(rep.Outcomes); i++ {
 		if rep.Outcomes[i].StartedAt < rep.Outcomes[i-1].StartedAt {
 			t.Fatalf("FIFO reordered: arrival %d started %v before arrival %d at %v",
@@ -267,6 +267,6 @@ func TestFIFOMatchesLegacySemantics(t *testing.T) {
 		}
 	}
 	if rep.Shed != 0 {
-		t.Fatal("unbounded legacy mode shed incidents")
+		t.Fatal("unbounded FIFO fleet shed incidents")
 	}
 }

@@ -1,8 +1,8 @@
 package fleet
 
 // The live arrival-stream contract and the discrete-event engine under
-// every fleet front end. Simulate pre-draws every arrival and runs to
-// completion; a production service never sees the end of its arrival
+// every fleet front end. SimulateSharded pre-draws every arrival and
+// runs to completion; a production service never sees the end of its arrival
 // stream. The ShardedScheduler (shard.go) accepts arrivals one at a
 // time — from HTTP handlers, at any interleaving — and feeds them into
 // one engine per region while keeping the repo's determinism contract:
@@ -34,12 +34,11 @@ import (
 	"repro/internal/obs"
 )
 
-// engine is the serial discrete-event core shared by Simulate,
-// SimulateSharded and the ShardedScheduler: responder pool state, the
-// severity/aging priority queue, admission control, and the completion
-// loop. It is not safe for concurrent use; callers serialize (the
-// simulators are single-threaded per engine, the ShardedScheduler holds
-// its mutex).
+// engine is the serial discrete-event core shared by SimulateSharded
+// and the ShardedScheduler: responder pool state, the severity/aging
+// priority queue, admission control, and the completion loop. It is
+// not safe for concurrent use; callers serialize (the simulator is
+// single-threaded per engine, the ShardedScheduler holds its mutex).
 type engine struct {
 	oces       int
 	policy     Policy
@@ -61,8 +60,8 @@ type engine struct {
 	// onProcessed, when non-nil, fires the moment an outcome's fleet
 	// fate is decided — at dispatch (queue delay and resolution known)
 	// or at shed. The ShardedScheduler uses it to emit fleet events in
-	// deterministic processing order; the simulators' steal-free paths
-	// leave it nil and emit after the run in arrival order.
+	// deterministic processing order; the simulator's steal-free path
+	// leaves it nil and emits after the run.
 	onProcessed func(idx int)
 }
 
@@ -210,8 +209,8 @@ func (e *engine) shedOutcome(idx int) {
 
 // report assembles the aggregate Report over everything the engine has
 // processed. Call only after every arrival is in and completeUntil ran
-// to the end of time (drain). labels scopes the saturation gauges (nil
-// on the flat paths; a region label on per-region sharded reports).
+// to the end of time (drain). labels scopes the saturation gauges to
+// the engine's region.
 func (e *engine) report(oces int, sink *obs.Sink, labels obs.Labels) *Report {
 	rep := &Report{Outcomes: e.outcomes, Shed: e.shed, PeakQueueDepth: e.peak}
 	rep.Admitted = len(e.outcomes) - e.shed

@@ -116,7 +116,8 @@ func TestLiveSubmissionOrderIndependence(t *testing.T) {
 }
 
 // TestLiveMatchesEngineSemantics replays a batch through a one-region
-// live scheduler and through a plain engine run (Simulate's phase 3)
+// live scheduler and through a plain engine run (SimulateSharded's
+// steal-free phase 3)
 // and checks the reports agree field for field and render the same
 // summary table — the live front end adds nothing to the discrete-event
 // core it shares with the simulators.

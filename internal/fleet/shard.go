@@ -85,8 +85,8 @@ type ShardedLiveConfig struct {
 	Regions []string
 	// OCEs is each region's responder pool size (default 3).
 	OCEs int
-	// Policy, QueueLimit and AgingStep behave exactly as in Config,
-	// applied per shard.
+	// Policy, QueueLimit and AgingStep behave exactly as in
+	// ShardedConfig, applied per shard.
 	Policy     Policy
 	QueueLimit int
 	AgingStep  time.Duration

@@ -1,17 +1,18 @@
 package fleet
 
-// SimulateSharded: the closed-form (pre-drawn) multi-region fleet
-// simulation — Simulate's counterpart over the sharded scheduler. The
-// three-phase structure and the determinism contract carry over:
+// SimulateSharded: the closed-form (pre-drawn) fleet simulation, for
+// one region or many. A single cell is simply a one-region fleet. The
+// simulation runs in three phases:
 //
 //  1. Arrivals pre-draw serially from the config seed: a merged Poisson
 //     process at R × ArrivalsPerHour routed uniformly across regions,
 //     plus correlated storm echoes (same scenario class landing in
 //     other regions within the storm window — scenarios.StormConfig).
 //     Arrival i's (time, region, scenario, session seed) is a pure
-//     function of (seed, i).
+//     function of (seed, i) — never of worker count or scheduling.
 //  2. Sessions execute speculatively on the parallel trial pool, keyed
-//     by pre-draw index.
+//     by pre-draw index, each buffering its events in a private
+//     recorder.
 //  3. Scheduling is exact and worker-count-independent: with stealing
 //     on, every arrival feeds the serial ShardedScheduler (batched
 //     ticks, deterministic steal); with stealing off, regions are fully
@@ -45,25 +46,41 @@ type ShardedConfig struct {
 	// Incidents is the total arrival count across all regions,
 	// storm echoes included (default 100).
 	Incidents int
-	// Mix, Runner, Seed and Workers behave exactly as in Config.
-	Mix     []scenarios.Scenario
-	Runner  harness.Runner
-	Seed    int64
+	// Mix is the scenario mix (default scenarios.All()).
+	Mix []scenarios.Scenario
+	// Runner handles each admitted incident.
+	Runner harness.Runner
+	// Seed drives the arrival process and the per-incident session
+	// seeds; everything downstream is a pure function of it.
+	Seed int64
+	// Workers bounds the parallel session executors (<= 0: one per
+	// CPU). Worker count never changes a single output byte — only
+	// wall-clock time.
 	Workers int
 	// Shards bounds the concurrent per-region schedulers on the
 	// steal-free path (<= 0: Workers). Never changes an output byte.
 	Shards int
-	// Policy, QueueLimit and AgingStep apply per region, as in Config.
-	Policy     Policy
+	// Policy selects each region's dispatch discipline (default
+	// SeverityAging).
+	Policy Policy
+	// QueueLimit bounds each region's waiting queue: when an arrival
+	// finds QueueLimit incidents already waiting, admission control
+	// sheds it straight to escalation. 0 means unbounded (never shed).
 	QueueLimit int
-	AgingStep  time.Duration
+	// AgingStep is the waiting time that promotes a queued incident by
+	// one severity class under SeverityAging (default 30 minutes;
+	// negative disables aging, leaving pure severity priority).
+	AgingStep time.Duration
 	// Steal and BatchStep behave as in ShardedLiveConfig.
 	Steal     bool
 	BatchStep time.Duration
 	// Storm correlates arrivals across regions (zero: independent
 	// Poisson only; needs at least two regions to matter).
 	Storm scenarios.StormConfig
-	// Obs behaves as in Config.
+	// Obs, when non-nil, collects every admitted session's event
+	// stream, the fleet-level incident and shed events (session label
+	// "fleet/" plus the arrival ID), and the saturation gauges per
+	// region and fleet-wide.
 	Obs *obs.Sink
 }
 
@@ -117,12 +134,17 @@ func SimulateSharded(cfg ShardedConfig) *ShardedReport {
 	// scenario class in other regions. The rng call order per primary is
 	// fixed (gap, region, scenario, seed, storm draw, then a region and
 	// seed per echo), so the arrival set is a pure function of the seed.
+	// One region draws no region index: its tape is (gap, scenario,
+	// seed) per arrival.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	draws := make([]shardDraw, 0, n)
 	var now time.Duration
 	for len(draws) < n {
 		now += time.Duration(rng.ExpFloat64() / (cfg.ArrivalsPerHour * float64(R)) * float64(time.Hour))
-		ri := rng.Intn(R)
+		ri := 0
+		if R > 1 {
+			ri = rng.Intn(R)
+		}
 		sc := cfg.Mix[rng.Intn(len(cfg.Mix))]
 		draws = append(draws, shardDraw{at: now, region: ri, scenario: sc, seed: rng.Int63()})
 		if R > 1 && cfg.Storm.Correlation > 0 {
@@ -142,16 +164,65 @@ func SimulateSharded(cfg ShardedConfig) *ShardedReport {
 	// global order is exactly (At, ID).
 	sort.SliceStable(draws, func(i, j int) bool { return draws[i].at < draws[j].at })
 
-	// Phase 2 — speculative parallel session execution, as in Simulate.
-	sessions, recs := runSessions(cfg.Runner, cfg.Obs, cfg.Workers, cfg.Seed, n,
-		func(i int) (scenarios.Scenario, int64) { return draws[i].scenario, draws[i].seed },
-		func(i int) string { return "fleet/" + draws[i].id })
+	// Phase 2 — speculative parallel session execution.
+	sessions, recs := runSessions(cfg.Runner, cfg.Obs, cfg.Workers, cfg.Seed, draws)
 
 	// Phase 3 — scheduling.
 	if cfg.Steal {
 		return simulateStealing(cfg, regions, draws, sessions, recs)
 	}
 	return simulateIndependent(cfg, regions, draws, sessions, recs)
+}
+
+// runSessions is phase 2: every pre-drawn arrival's session executes
+// speculatively on the parallel trial pool. Each trial is
+// self-contained: it builds its own world from its draw's seed and
+// buffers events privately, in a recorder labelled "fleet/"+id when
+// sink is set and the runner is observed (recs is nil otherwise). The
+// trial pool's own derived seeds are ignored. Sessions for arrivals the
+// admission controller later sheds are discarded — speculation wastes
+// a little compute to keep the phase embarrassingly parallel.
+func runSessions(runner harness.Runner, sink *obs.Sink, workers int, seed int64,
+	draws []shardDraw) (sessions []session, recs []*obs.Recorder) {
+	n := len(draws)
+	or, observed := runner.(harness.ObservedRunner)
+	if sink != nil && observed {
+		recs = make([]*obs.Recorder, n)
+	}
+	trials := parallel.RunTrials(n, workers, seed, func(_ int64, i int) session {
+		d := &draws[i]
+		in := d.scenario.Build(rand.New(rand.NewSource(d.seed)))
+		sev := in.Incident.Severity
+		var res harness.Result
+		if recs != nil {
+			rec := obs.AcquireRecorder("fleet/" + d.id)
+			recs[i] = rec
+			res = or.RunObserved(in, d.seed, rec)
+		} else {
+			res = runner.Run(in, d.seed)
+		}
+		return session{res: res, severity: sev}
+	})
+	sessions = make([]session, n)
+	for i, tr := range trials {
+		if tr.Err != nil {
+			// A crashed session becomes a specialist hand-off, exactly
+			// as harness.PoolResult treats pooled trials.
+			sessions[i] = session{res: harness.Result{Scenario: draws[i].scenario.Name(), Escalated: true, PlanErrors: 1}}
+			continue
+		}
+		sessions[i] = tr.Value
+	}
+	return sessions, recs
+}
+
+// recAt returns arrival i's recorder, or nil when sessions ran
+// unrecorded.
+func recAt(recs []*obs.Recorder, i int) *obs.Recorder {
+	if recs == nil {
+		return nil
+	}
+	return recs[i]
 }
 
 // simulateStealing feeds every arrival through the serial sharded

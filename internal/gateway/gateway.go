@@ -539,7 +539,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request, caller str
 	// how many incidents other handlers built first. OpenedAt stays on
 	// the session's own timeline: TTM is measured inside the session
 	// world; the fleet arrival time lives in the LiveArrival alone,
-	// exactly as Simulate keeps them separate.
+	// exactly as fleet.SimulateSharded keeps them separate.
 	in.Incident.ID = id
 
 	// Run the responder session here, in the handler's goroutine: live

@@ -158,10 +158,10 @@ func TestGoldenFleetStdout(t *testing.T) {
 	}
 	var arms []fleet.Arm
 	for _, r := range runners {
-		arms = append(arms, fleet.Arm{Name: r.Name(), Report: fleet.Simulate(fleet.Config{
+		arms = append(arms, fleet.Arm{Name: r.Name(), Report: fleet.SimulateSharded(fleet.ShardedConfig{
 			OCEs: 2, ArrivalsPerHour: 4, Incidents: 60,
 			Runner: r, Seed: 7, QueueLimit: 8, AgingStep: 30 * time.Minute,
-		})})
+		}).Total})
 	}
 	got := fleet.SummaryTable("fleet: 2 OCEs, 4 arrivals/h, 60 incidents, queue bound 8", arms).String() + "\n"
 	if want := readGolden(t, "imctl_fleet_seed7.txt"); got != want {
